@@ -8,7 +8,7 @@ Subcommands:
 
 Reports go to stdout (text, JSON, or CSV); diagnostics go to stderr.
 Exit codes: 0 success, 1 circuit parse/import error, 2 infeasible or invalid
-parameters, 3 size cap exceeded.
+parameters, 3 size cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -32,12 +32,15 @@ from .errors import (
     SizeCapError,
     UnsupportedGateError,
 )
-from .executor import compute_metrics, format_ratio, trace_execution, trace_to_records
+from .executor import (TraceEntry, compute_metrics, format_ratio, trace_execution,
+                       trace_to_records, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
+    check_width,
     dp_partition,
     dp_partition_capped,
     oracle_partition,
+    table_csv,
 )
 
 EXIT_OK = 0
@@ -111,14 +114,19 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
 
 
 def _single_circuit(args) -> Circuit:
+    """Load or generate the input, checking its width against the DP cap
+    before gates are generated or anything is sized by the width."""
     if args.circuit and args.gen:
         raise ValueError("give either --circuit or --gen, not both")
     if args.circuit:
-        return load_circuit(args.circuit, args.decompose_mct)
+        circuit = load_circuit(args.circuit, args.decompose_mct)
+        _dp_cap(args, circuit.width)
+        return circuit
     if args.gen:
         name, sizes = parse_gen_spec(args.gen)
         if len(sizes) != 1:
             raise ValueError("this command takes a single generator size, e.g. qft:4")
+        _dp_cap(args, sizes[0])
         return GENERATORS[name](sizes[0])
     raise ValueError("a circuit is required: --circuit <path> or --gen <name:size>")
 
@@ -130,10 +138,20 @@ def _single_k(args) -> int:
     return ks[0]
 
 
-def _dp_cap(args, circuit: Circuit) -> int | None:
-    if getattr(args, "force", False):
-        return max(DEFAULT_DP_CAP, circuit.width)
-    return None
+def _dp_cap(args, width: int) -> int | None:
+    """The DP's qubit cap (None: the default), after checking width against it."""
+    cap = max(DEFAULT_DP_CAP, width) if getattr(args, "force", False) else None
+    check_width(width, cap)
+    return cap
+
+
+def _check_threads(args) -> None:
+    """--threads is validated, but the DP runs on one thread."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if args.threads > 1:
+        print(f"note: --threads {args.threads} has no effect; the DP runs on one thread",
+              file=sys.stderr)
 
 
 def _collect_notes(circuit: Circuit, constrained: bool, max_part_size: int | None) -> list[str]:
@@ -170,28 +188,6 @@ def _collect_references(circuit: Circuit, k: int, cost: int) -> dict | None:
     return refs or None
 
 
-def _dp_table_payload(table) -> dict:
-    header = ["index", "qubits"] + [f"k={k}" for k in range(1, table.k_max + 1)]
-    rows = []
-    for mask in range(1, 1 << table.n):
-        row: list = [mask, "{" + ",".join(
-            str(q + 1) for q in reversed([i for i in range(table.n) if (mask >> i) & 1])
-        ) + "}"]
-        for k in range(1, table.k_max + 1):
-            row.append(table.cost_at(mask, k))
-        rows.append(row)
-    return {"header": header, "rows": rows}
-
-
-def _table_csv_from_payload(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(payload["header"])
-    for row in payload["rows"]:
-        writer.writerow(["N.A" if c is None else c for c in row])
-    return buf.getvalue()
-
-
 def emit_text(report: RunReport) -> str:
     lines = [
         f"circuit: {report.circuit_name} ({report.width} qubits, {report.gate_count} gates)",
@@ -226,16 +222,11 @@ def emit_text(report: RunReport) -> str:
         )
     out = "\n".join(lines) + "\n"
     if report.trace is not None:
-        rows = [(f"g{r['gate']}", r["rendering"], "G" if r["kind"] == "global" else "L")
-                for r in report.trace]
-        headers = ("# of Gate", "Gate_name", "Type")
-        widths = [max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
-                  for c in range(3)]
-        out += "\n" + "  ".join(h.ljust(widths[c]) for c, h in enumerate(headers)) + "\n"
-        for r in rows:
-            out += "  ".join(r[c].ljust(widths[c]) for c in range(3)).rstrip() + "\n"
+        out += "\n" + trace_to_text(tuple(TraceEntry(
+            r["gate"] - 1, r["rendering"], r["kind"], tuple(r["parts"]), r["teleports_so_far"])
+            for r in report.trace))
     if report.dp_table is not None:
-        out += "\n" + _table_csv_from_payload(report.dp_table)
+        out += "\n" + table_csv(report.dp_table)
     return out
 
 
@@ -273,7 +264,7 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
         "decompose_mct": args.decompose_mct,
         "approx_decomposition": circuit.decomposed_mct,
         "constrained": result.constrained,
-        "threads": getattr(args, "threads", 1),
+        "threads": 1,  # the DP runs on one thread whatever --threads says
         "force": getattr(args, "force", False),
     }
     return RunReport(
@@ -292,13 +283,13 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
 
 
 def cmd_partition(args) -> int:
+    _check_threads(args)
     circuit = _single_circuit(args)
     k = _single_k(args)
     t0 = time.perf_counter()
     graph = qc_to_bigraph(circuit)
     w = weight_matrix(graph)
-    cap = _dp_cap(args, circuit)
-    kwargs = dict(keep_table=args.table, cap=cap, threads=args.threads)
+    kwargs = dict(keep_table=args.table, cap=_dp_cap(args, circuit.width))
     if args.max_part_size is None:
         result = dp_partition(w, k, **kwargs)
     else:
@@ -311,7 +302,7 @@ def cmd_partition(args) -> int:
     if args.trace:
         report.trace = trace_to_records(trace_execution(circuit, result.assignment))
     if args.table:
-        report.dp_table = _dp_table_payload(result.table)
+        report.dp_table = result.table.payload()
     emit_report(report, args.format)
     return EXIT_OK
 
@@ -325,7 +316,7 @@ def cmd_oracle(args) -> int:
     wall_ms = None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
     report = _build_report(circuit, k, result, "oracle", args, wall_ms)
     if args.compare_dp:
-        dp_result = dp_partition(w, k, cap=_dp_cap(args, circuit))
+        dp_result = dp_partition(w, k, cap=_dp_cap(args, circuit.width))
         report.dp_cost = dp_result.cost
         report.dp_match = dp_result.cost == result.cost
     emit_report(report, args.format)
@@ -342,6 +333,7 @@ def _bench_sources(args):
 
 
 def cmd_bench(args) -> int:
+    _check_threads(args)
     ks = parse_int_list(args.parts) if args.parts else []
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
@@ -349,8 +341,10 @@ def cmd_bench(args) -> int:
         try:
             if kind == "file":
                 circuit = load_circuit(source, args.decompose_mct)
+                cap = _dp_cap(args, circuit.width)
             else:
                 name, size = source
+                cap = _dp_cap(args, size)
                 circuit = GENERATORS[name](size)
         except (QcpartError, OSError, ValueError) as exc:
             label = source if kind == "file" else f"{source[0]}:{source[1]}"
@@ -362,10 +356,9 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             try:
                 if args.max_part_size is None:
-                    result = dp_partition(w, k, cap=_dp_cap(args, circuit), threads=args.threads)
+                    result = dp_partition(w, k, cap=cap)
                 else:
-                    result = dp_partition_capped(w, k, args.max_part_size,
-                                                 cap=_dp_cap(args, circuit), threads=args.threads)
+                    result = dp_partition_capped(w, k, args.max_part_size, cap=cap)
             except QcpartError as exc:
                 writer.writerow([circuit.name, circuit.width, circuit.size, k, "", "", "", str(exc)])
                 continue
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-part-size", type=int, help="cap on qubits per part")
     p.add_argument("--table", action="store_true", help="also emit the full memo table as CSV")
     p.add_argument("--trace", action="store_true", help="also emit the per-gate execution trace")
-    p.add_argument("--threads", type=int, default=1, help="worker threads within a DP level")
+    p.add_argument("--threads", type=int, default=1, help="must be >= 1; the DP runs on one thread")
     p.add_argument("--force", action="store_true",
                    help=f"lift the {DEFAULT_DP_CAP}-qubit guardrail (runtime grows as 3^n)")
     p.add_argument("--dot", metavar="PATH", help="write the bipartite graph in DOT format")
@@ -467,6 +460,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'no detail'}); the input is too large",
+              file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Subset-DP engines behind the exact partitioner.
+"""Subset DP behind the exact partitioner.
 
 Level k of the memo table holds, for each qubit-set bitmask, the cheapest
 total number of crossing two-qubit gates over all ways of splitting that set
@@ -13,198 +13,45 @@ the submask scan without excluding any partition. crossing() is evaluated in
 O(1) from precomputed internal weights: crossing(A, B) = win[A|B] - win[A]
 - win[B]. Ties go to the numerically lowest peeled submask.
 
-Two engines produce identical tables:
-
-  * ``numba``: JIT kernels over dense arrays, used when numba is importable
-    and n <= DENSE_LIMIT (dense tables are 2^n per level);
-  * ``python``: plain-dict levels, the reference implementation and the only
-    route above DENSE_LIMIT, where it is honest but slow (the state space
-    grows as 3^n).
+The DP is one scalar loop over plain-int masks, run on one thread. The
+internal weights are a dense list over all 2^n masks, and each level is a
+dict of its reachable states. Run time grows as 3^n.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 INF = 1 << 62
-DENSE_LIMIT = 20
-
-try:
-    with warnings.catch_warnings():
-        # stale-TBB advisory from numba's parallel runtime; it falls back to
-        # another threading layer on its own
-        warnings.filterwarnings("ignore", message=".*TBB.*")
-        import numba
-        from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
 
 
-if HAVE_NUMBA:
+def solve(w: np.ndarray, kmax: int, cap: int, *,
+          full_table: bool = False) -> tuple[list, list]:
+    """Run the level DP over an n x n weight array. ``cap`` bounds part sizes
+    (pass n for unconstrained). ``full_table`` computes every mask at every
+    level instead of only the states a final reconstruction can reach.
 
-    @njit(cache=True)
-    def _popcounts(n):
-        size = 1 << n
-        pc = np.zeros(size, dtype=np.uint8)
-        for m in range(1, size):
-            pc[m] = pc[m >> 1] + (m & 1)
-        return pc
-
-    @njit(cache=True)
-    def _internal_weights(w, n):
-        # win[m] = total weight of pairs inside mask m, built by peeling the
-        # lowest bit: win[m] = win[m - low] + sum_{j in m - low} w[low, j]
-        size = 1 << n
-        win = np.zeros(size, dtype=np.int64)
-        for m in range(1, size):
-            low = 0
-            while not (m >> low) & 1:
-                low += 1
-            rest = m & (m - 1)
-            acc = np.int64(0)
-            t = rest
-            while t:
-                j = 0
-                while not (t >> j) & 1:
-                    j += 1
-                acc += w[low, j]
-                t &= t - 1
-            win[m] = win[rest] + acc
-        return win
-
-    @njit(cache=True, parallel=True)
-    def _dp_level(win, pc, prev, cur, cho, k, cap, mode):
-        # mode 0: all masks; 1: masks containing bit 0; 2: the full mask only
-        size = win.size
-        if mode == 0:
-            total = size - 1
-        elif mode == 1:
-            total = size >> 1
-        else:
-            total = 1
-        for t in prange(total):
-            if mode == 0:
-                m = t + 1
-            elif mode == 1:
-                m = 2 * t + 1
-            else:
-                m = size - 1
-            if pc[m] < k:
-                continue
-            low = m & (-m)
-            base = m ^ low
-            wm = win[m]
-            best = INF
-            bestsub = np.int64(-1)
-            s = base
-            while s:
-                if pc[s] <= cap:
-                    rest = m ^ s
-                    cr = prev[rest]
-                    if cr < INF:
-                        q = cr + (wm - win[s] - win[rest])
-                        if q <= best:  # descending scan: last tie = lowest mask
-                            best = q
-                            bestsub = s
-                s = (s - 1) & base
-            cur[m] = best
-            cho[m] = bestsub
-
-
-class Solved:
-    """Uniform accessor over engine output: cost/choice per (mask, level)."""
-
-    def __init__(self, n: int, kmax: int, cap: int, cost_levels, choice_levels, dense: bool):
-        self.n = n
-        self.kmax = kmax
-        self.cap = cap
-        self._cost = cost_levels
-        self._choice = choice_levels
-        self._dense = dense
-
-    def cost(self, mask: int, k: int) -> int:
-        """Optimal cost, or INF when the state is unreachable."""
-        if k == 1:
-            return 0 if 0 < mask.bit_count() <= self.cap else INF
-        if self._dense:
-            return int(self._cost[k][mask])
-        return self._cost[k].get(mask, INF)
-
-    def choice(self, mask: int, k: int) -> int:
-        """Peeled submask achieving cost(mask, k); -1 for k=1 or unreachable."""
-        if k == 1:
-            return -1
-        if self._dense:
-            return int(self._choice[k][mask])
-        return self._choice[k].get(mask, -1)
-
-
-def _solve_numba(w: np.ndarray, kmax: int, cap: int, full_table: bool, threads: int) -> Solved:
-    n = w.shape[0]
-    size = 1 << n
-    pc = _popcounts(n)
-    win = _internal_weights(np.ascontiguousarray(w, dtype=np.int64), n)
-    lvl1 = np.where((pc > 0) & (pc <= cap), 0, INF).astype(np.int64)
-    cost_levels: list = [None, lvl1]
-    choice_levels: list = [None, None]
-    threads = max(1, min(threads, numba.config.NUMBA_NUM_THREADS))
-    with warnings.catch_warnings():
-        # threading-layer init may emit the stale-TBB advisory
-        warnings.filterwarnings("ignore", message=".*TBB.*")
-        numba.set_num_threads(threads)
-        for k in range(2, kmax + 1):
-            mode = 0 if full_table else (1 if k < kmax else 2)
-            cur = np.full(size, INF, dtype=np.int64)
-            cho = np.full(size, -1, dtype=np.int64)
-            _dp_level(win, pc, cost_levels[k - 1], cur, cho, k, cap, mode)
-            cost_levels.append(cur)
-            choice_levels.append(cho)
-    return Solved(n, kmax, cap, cost_levels, choice_levels, dense=True)
-
-
-def _solve_python(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> Solved:
-    n = w.shape[0]
-    size = 1 << n
+    Returns ``(cost_levels, choice_levels)``: for k >= 2, entry k maps each
+    reachable mask to its cost and peeled submask; levels 0 and 1 are None."""
+    if kmax < 2:  # one part: no level to solve, and no 2^n weight list
+        return [None, None], [None, None]
+    size = 1 << w.shape[0]
     rows = [[int(x) for x in row] for row in w]
-
-    if n <= DENSE_LIMIT:
-        win_list = [0] * size
-        for m in range(1, size):
-            low = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            row = rows[low]
-            acc = 0
-            t = rest
-            while t:
-                j = (t & -t).bit_length() - 1
-                acc += row[j]
-                t &= t - 1
-            win_list[m] = win_list[rest] + acc
-        win = win_list.__getitem__
-    else:
-        memo = {0: 0}
-
-        def win(m: int) -> int:
-            got = memo.get(m)
-            if got is not None:
-                return got
-            low = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            row = rows[low]
-            acc = 0
-            t = rest
-            while t:
-                j = (t & -t).bit_length() - 1
-                acc += row[j]
-                t &= t - 1
-            val = win(rest) + acc
-            memo[m] = val
-            return val
-
+    # win[m] = total weight of pairs inside mask m, built by peeling the
+    # lowest bit: win[m] = win[m - low] + sum_{j in m - low} w[low, j]
+    win_list = [0] * size
+    for m in range(1, size):
+        low = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        row = rows[low]
+        acc = 0
+        t = rest
+        while t:
+            j = (t & -t).bit_length() - 1
+            acc += row[j]
+            t &= t - 1
+        win_list[m] = win_list[rest] + acc
+    win = win_list.__getitem__
     cost_levels: list = [None, None]
     choice_levels: list = [None, None]
     for k in range(2, kmax + 1):
@@ -244,23 +91,4 @@ def _solve_python(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> Solve
                 cho[m] = bestsub
         cost_levels.append(cur)
         choice_levels.append(cho)
-    return Solved(n, kmax, cap, cost_levels, choice_levels, dense=False)
-
-
-def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False,
-          threads: int = 1, engine: str = "auto") -> Solved:
-    """Run the level DP over an n x n weight array. ``cap`` bounds part sizes
-    (pass n for unconstrained). ``full_table`` computes every mask at every
-    level instead of only the states a final reconstruction can reach."""
-    n = w.shape[0]
-    if engine == "auto":
-        engine = "numba" if (HAVE_NUMBA and n <= DENSE_LIMIT) else "python"
-    if engine == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba engine requested but numba is not importable")
-        if n > DENSE_LIMIT:
-            raise RuntimeError(f"numba engine is dense-only (n <= {DENSE_LIMIT}); use engine='python'")
-        return _solve_numba(w, kmax, cap, full_table, threads)
-    if engine == "python":
-        return _solve_python(w, kmax, cap, full_table)
-    raise ValueError(f"unknown engine {engine!r}")
+    return cost_levels, choice_levels

@@ -15,6 +15,8 @@ such gate requires one teleportation.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -115,16 +117,20 @@ class PartitionAssignment:
 
 
 class DpTable:
-    """Memo table C over (mask, k) with argmin back-pointers.
+    """Memo table over (mask, k): the optimal cost and the peeled submask that
+    achieves it, read from the per-level dicts of ``dpcore.solve``.
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
-    or no split satisfying the part-size cap).
+    or no split satisfying the part-size cap); ``choice_at`` returns None at
+    k=1 and for unreachable states.
     """
 
-    def __init__(self, solved: dpcore.Solved, k_max: int):
-        self._solved = solved
-        self.n = solved.n
+    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list):
+        self.n = n
         self.k_max = k_max
+        self.cap = cap
+        self._cost = cost_levels
+        self._choice = choice_levels
 
     def _check(self, mask: int, k: int) -> None:
         if not 1 <= k <= self.k_max:
@@ -134,34 +140,38 @@ class DpTable:
 
     def cost_at(self, mask: int, k: int) -> int | None:
         self._check(mask, k)
-        c = self._solved.cost(mask, k)
-        return None if c >= dpcore.INF else int(c)
+        if k == 1:
+            return 0 if mask.bit_count() <= self.cap else None
+        return self._cost[k].get(mask)
 
     def choice_at(self, mask: int, k: int) -> QubitSubset | None:
         self._check(mask, k)
-        s = self._solved.choice(mask, k)
-        return None if s < 0 else int(s)
+        return None if k == 1 else self._choice[k].get(mask)
+
+    def payload(self) -> dict:
+        """``{header, rows}``: one row per subset index (the decimal mask
+        value) with its qubit set and one cost per k, None when unreachable."""
+        header = ["index", "qubits"] + [f"k={k}" for k in range(1, self.k_max + 1)]
+        rows = [[mask, format_subset(mask)] + [self.cost_at(mask, k) for k in range(1, self.k_max + 1)]
+                for mask in range(1, 1 << self.n)]
+        return {"header": header, "rows": rows}
 
     def to_csv(self, out: TextIO) -> None:
-        """One row per subset index (the decimal mask value), one column per k;
-        unreachable entries render as N.A."""
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["index", "qubits"] + [f"k={k}" for k in range(1, self.k_max + 1)])
-        for mask in range(1, 1 << self.n):
-            cells: list[str] = [str(mask), format_subset(mask)]
-            for k in range(1, self.k_max + 1):
-                c = self.cost_at(mask, k)
-                cells.append("N.A" if c is None else str(c))
-            writer.writerow(cells)
+        """The payload as CSV; unreachable entries render as N.A."""
+        out.write(table_csv(self.payload()))
 
     def csv_string(self) -> str:
-        import io
+        return table_csv(self.payload())
 
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+
+def table_csv(payload: dict) -> str:
+    """CSV text of a ``DpTable.payload()``; None cells render as N.A."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(payload["header"])
+    for row in payload["rows"]:
+        writer.writerow(["N.A" if c is None else c for c in row])
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -202,12 +212,9 @@ def assignment_cost(assignment: PartitionAssignment, w: WeightMatrix) -> int:
     return total
 
 
-def _check_problem(w: WeightMatrix, k: int, cap: int | None) -> int:
-    n = w.n
-    if not 1 <= k <= n:
-        raise InfeasiblePartitionError(
-            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
-        )
+def check_width(n: int, cap: int | None = None) -> None:
+    """Raise SizeCapError when n qubits exceed the exact-partitioner cap
+    (default 24). Cheap enough to run before anything is allocated."""
     dp_cap = DEFAULT_DP_CAP if cap is None else cap
     if n > dp_cap:
         raise SizeCapError(
@@ -215,15 +222,26 @@ def _check_problem(w: WeightMatrix, k: int, cap: int | None) -> int:
             f"grows as 3^n. Raise the cap to proceed anyway (CLI: --force), or use the "
             f"brute-force oracle for tiny instances."
         )
+
+
+def _check_problem(w: WeightMatrix, k: int, cap: int | None, threads: int) -> int:
+    n = w.n
+    if not 1 <= k <= n:
+        raise InfeasiblePartitionError(
+            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
+        )
+    check_width(n, cap)
+    if threads < 1:
+        raise InfeasiblePartitionError(f"threads must be >= 1, got {threads}")
     return n
 
 
-def _reconstruct(solved: dpcore.Solved, n: int, k: int) -> list[QubitSubset]:
-    mask = (1 << n) - 1
+def _reconstruct(table: DpTable, k: int) -> list[QubitSubset]:
+    mask = (1 << table.n) - 1
     parts = []
     for level in range(k, 1, -1):
-        s = solved.choice(mask, level)
-        if s < 0:
+        s = table.choice_at(mask, level)
+        if s is None:
             raise QcpartError("memo table has no back-pointer for a reachable state")
         parts.append(s)
         mask ^= s
@@ -232,8 +250,8 @@ def _reconstruct(solved: dpcore.Solved, n: int, k: int) -> list[QubitSubset]:
 
 
 def _run_dp(w: WeightMatrix, k: int, part_cap: int | None, keep_table: bool,
-            cap: int | None, threads: int, engine: str) -> PartitionResult:
-    n = _check_problem(w, k, cap)
+            cap: int | None, threads: int) -> PartitionResult:
+    n = _check_problem(w, k, cap, threads)
     if part_cap is not None:
         if part_cap < 1:
             raise InfeasiblePartitionError("max_part_size must be >= 1")
@@ -242,49 +260,48 @@ def _run_dp(w: WeightMatrix, k: int, part_cap: int | None, keep_table: bool,
                 f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
-    solved = dpcore.solve(w.m, k, effective_cap, full_table=keep_table,
-                          threads=threads, engine=engine)
-    full = (1 << n) - 1
-    best = solved.cost(full, k)
-    if best >= dpcore.INF:
+    table = DpTable(n, k, effective_cap,
+                    *dpcore.solve(w.m, k, effective_cap, full_table=keep_table))
+    cost = table.cost_at((1 << n) - 1, k)
+    if cost is None:
         raise QcpartError("no feasible partition found for a feasible problem")
-    assignment = PartitionAssignment.from_parts(n, _reconstruct(solved, n, k))
-    cost = int(best)
-    assert cost == assignment_cost(assignment, w)
+    assignment = PartitionAssignment.from_parts(n, _reconstruct(table, k))
+    recount = assignment_cost(assignment, w)
+    if cost != recount:
+        raise QcpartError(f"DP cost {cost} differs from its assignment's recounted cost {recount}")
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=DpTable(solved, k) if keep_table else None,
+        table=table if keep_table else None,
         max_part_size=part_cap,
     )
 
 
 def dp_partition(w: WeightMatrix, k: int, *, keep_table: bool = False,
-                 cap: int | None = None, threads: int = 1,
-                 engine: str = "auto") -> PartitionResult:
+                 cap: int | None = None, threads: int = 1) -> PartitionResult:
     """Split the qubit set into exactly k non-empty parts minimizing the
     number of two-qubit gates that cross parts.
 
     The optimum is exact; ties between equal-cost splits resolve toward the
     numerically lowest peeled submask, so the returned assignment is
     deterministic. ``cap`` overrides the qubit-count guardrail (default 24).
+    ``threads`` must be >= 1; the DP runs on one thread whatever its value.
     """
-    return _run_dp(w, k, None, keep_table, cap, threads, engine)
+    return _run_dp(w, k, None, keep_table, cap, threads)
 
 
 def dp_partition_capped(w: WeightMatrix, k: int, max_part_size: int, *,
                         keep_table: bool = False, cap: int | None = None,
-                        threads: int = 1, engine: str = "auto") -> PartitionResult:
+                        threads: int = 1) -> PartitionResult:
     """Same search restricted to parts of at most ``max_part_size`` qubits."""
-    return _run_dp(w, k, max_part_size, keep_table, cap, threads, engine)
+    return _run_dp(w, k, max_part_size, keep_table, cap, threads)
 
 
 def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None,
-             threads: int = 1, engine: str = "auto") -> DpTable:
+             threads: int = 1) -> DpTable:
     """Full memo table over every non-empty mask and 1 <= level <= k."""
-    n = _check_problem(w, k, cap)
-    solved = dpcore.solve(w.m, k, n, full_table=True, threads=threads, engine=engine)
-    return DpTable(solved, k)
+    n = _check_problem(w, k, cap, threads)
+    return DpTable(n, k, n, *dpcore.solve(w.m, k, n, full_table=True))
 
 
 _RGS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from qcpart import cli
 from qcpart.cli import RunReport, main, parse_gen_spec, parse_int_list
 from conftest import SAMPLE3, SAMPLE4, SAMPLE4H
 
@@ -210,6 +212,47 @@ def test_exit_size_cap(capsys, tmp_path):
                            "--force", "--format", "json", "--no-timing")
     assert code == 0
     assert json.loads(out)["cost"] == 0
+
+
+def test_width_checked_before_allocation(capsys, tmp_path):
+    huge = tmp_path / "huge.qc"
+    huge.write_text("qubits 30000\ncnot 1 2\n")
+    for command in ("partition", "oracle"):
+        code, _, err = run_cli(capsys, command, "--circuit", str(huge), "--parts", "2")
+        assert code == 3
+        assert "30000 qubits exceeds the exact-partitioner cap (24)" in err
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "partition", "--gen", "qft:100000", "--parts", "2")
+    assert code == 3 and "exceeds the exact-partitioner cap" in err
+    code, out, _ = run_cli(capsys, "bench", "--gen", "qft:100000", "--circuit", str(huge),
+                           "--parts", "2", "--no-timing")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2 and all("exceeds the exact-partitioner cap" in r for r in rows)
+    assert time.perf_counter() - t0 < 5  # the qft gates were never generated
+
+
+def test_memory_error_exits_size_cap(capsys, sample4, monkeypatch):
+    def no_memory(graph):
+        raise MemoryError("Unable to allocate 6.71 GiB")
+    monkeypatch.setattr(cli, "weight_matrix", no_memory)
+    code, _, err = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "2")
+    assert code == 3
+    assert "out of memory (Unable to allocate 6.71 GiB)" in err
+
+
+def test_threads_validated_and_reported(capsys, sample4):
+    for command in ("partition", "bench"):
+        for bad in ("0", "-5"):
+            code, out, err = run_cli(capsys, command, "--circuit", sample4, "--parts", "2",
+                                     "--threads", bad)
+            assert code == 2 and out == ""
+            assert "--threads must be >= 1" in err
+    code, out, err = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "2",
+                             "--format", "json", "--threads", "4")
+    assert code == 0
+    assert json.loads(out)["flags"]["threads"] == 1
+    assert err.count("has no effect") == 1
 
 
 # --- oracle ---------------------------------------------------------------------

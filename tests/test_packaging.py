@@ -1,0 +1,26 @@
+"""Every declared runtime dependency imports, and every exported name resolves."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import qcpart
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_runtime_dependencies_import():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    deps = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert deps
+    for spec in deps:
+        name = re.match(r"[A-Za-z0-9_.-]+", spec).group(0)
+        importlib.import_module(name.replace("-", "_"))
+
+
+def test_public_names_resolve():
+    assert len(set(qcpart.__all__)) == len(qcpart.__all__)
+    for name in qcpart.__all__:
+        assert getattr(qcpart, name, None) is not None, name

@@ -6,6 +6,7 @@ from qcpart import (
     Circuit,
     InfeasiblePartitionError,
     PartitionAssignment,
+    QcpartError,
     SizeCapError,
     WeightMatrix,
     assignment_cost,
@@ -21,6 +22,7 @@ from qcpart import (
     subset_qubits,
     weight_matrix,
 )
+from qcpart import partitioner
 from qcpart.partitioner import _rgs_table
 from conftest import build_random_circuit
 
@@ -354,27 +356,53 @@ def test_cost_invariant_under_gate_reorder():
             assert dp_partition(wmat(c), k).cost == dp_partition(wmat(shuffled), k).cost
 
 
-# --- engines -----------------------------------------------------------------
+# --- engine --------------------------------------------------------------------
 
-def test_python_engine_matches_numba():
+def test_dp_matches_oracle_and_recount_on_both_mask_schedules():
     rng = np.random.default_rng(51)
     for _ in range(10):
         n = int(rng.integers(2, 7))
         w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 25))))
         for k in range(1, n + 1):
-            a = dp_partition(w, k, engine="numba")
-            b = dp_partition(w, k, engine="python")
-            assert a.cost == b.cost
-            assert a.assignment == b.assignment  # same tie-breaking
+            odd = dp_partition(w, k)  # odd masks below level k, full mask at k
+            full = dp_partition(w, k, keep_table=True)  # every mask at every level
+            assert odd.cost == oracle_partition(w, k).cost
+            assert odd.cost == assignment_cost(odd.assignment, w)
+            assert full.cost == odd.cost
+            assert full.assignment == odd.assignment  # same tie-breaking
 
 
-def test_python_engine_matches_numba_tables(w4):
-    ta = dp_table(w4, 4, engine="numba")
-    tb = dp_table(w4, 4, engine="python")
+def test_table_choices_are_lowest_optimal_submasks(w4):
+    t = dp_table(w4, 4)
     for mask in range(1, 16):
-        for k in range(1, 5):
-            assert ta.cost_at(mask, k) == tb.cost_at(mask, k)
-            assert ta.choice_at(mask, k) == tb.choice_at(mask, k)
+        low = mask & -mask
+        for k in range(2, 5):
+            value = {}
+            for s in range(1, 16):
+                if s & mask == s and not s & low and t.cost_at(mask ^ s, k - 1) is not None:
+                    value[s] = connect(s, mask ^ s, w4) + t.cost_at(mask ^ s, k - 1)
+            if not value:
+                assert t.cost_at(mask, k) is None and t.choice_at(mask, k) is None
+                continue
+            best = min(value.values())
+            s = t.choice_at(mask, k)
+            assert t.cost_at(mask, k) == best == value[s]  # Bellman-consistent
+            assert s == min(c for c, v in value.items() if v == best)
+
+
+def test_dp_recount_mismatch_raises(w4, monkeypatch):
+    real = partitioner.assignment_cost
+    monkeypatch.setattr(partitioner, "assignment_cost", lambda a, w: real(a, w) + 1)
+    with pytest.raises(QcpartError, match="recounted"):
+        dp_partition(w4, 3)
+
+
+def test_threads_must_be_positive(w4):
+    for bad in (0, -5):
+        with pytest.raises(InfeasiblePartitionError, match="threads"):
+            dp_partition(w4, 2, threads=bad)
+        with pytest.raises(InfeasiblePartitionError, match="threads"):
+            dp_table(w4, 2, threads=bad)
 
 
 def test_level_parallelism_is_deterministic():
