@@ -11,7 +11,6 @@ from .bigraph import (
     BipartiteGraph,
     WeightMatrix,
     bigraph_to_dot,
-    connect_bigraph,
     qc_to_bigraph,
     weight_matrix,
 )
@@ -50,7 +49,6 @@ from .partitioner import (
     assignment_cost,
     connect,
     dp_partition,
-    dp_partition_capped,
     dp_table,
     format_subset,
     oracle_partition,
@@ -83,9 +81,7 @@ __all__ = [
     "bigraph_to_dot",
     "compute_metrics",
     "connect",
-    "connect_bigraph",
     "dp_partition",
-    "dp_partition_capped",
     "dp_table",
     "format_ratio",
     "format_subset",

@@ -113,21 +113,6 @@ def weight_matrix(graph: BipartiteGraph) -> WeightMatrix:
     return WeightMatrix(m)
 
 
-def connect_bigraph(graph: BipartiteGraph, s1: int, s2: int) -> int:
-    """Count gates with one endpoint in each of two disjoint qubit-set masks
-    by scanning gate vertices directly (no weight matrix involved)."""
-    if s1 & s2:
-        raise ValueError("qubit sets overlap")
-    count = 0
-    for ends in graph.gate_endpoints():
-        if len(ends) != 2:
-            continue
-        a, b = ends
-        if ((s1 >> a) & 1 and (s2 >> b) & 1) or ((s2 >> a) & 1 and (s1 >> b) & 1):
-            count += 1
-    return count
-
-
 def bigraph_to_dot(graph: BipartiteGraph, name: str = "bigraph") -> str:
     """DOT rendering with qubit and gate vertices in two ranks."""
     lines = [f'graph "{name}" {{', "  rankdir=BT;"]

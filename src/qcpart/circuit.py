@@ -16,7 +16,7 @@ number of operands matters downstream, so unknown labels are accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import CircuitSyntaxError, UnsupportedGateError
 
@@ -82,9 +82,6 @@ class Circuit:
     @property
     def two_qubit_count(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
-
-    def renamed(self, name: str) -> "Circuit":
-        return replace(self, name=name)
 
 
 def _make_gates(specs: list[tuple[str, tuple[int, ...]]]) -> tuple[Gate, ...]:

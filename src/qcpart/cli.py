@@ -38,7 +38,6 @@ from .partitioner import (
     DEFAULT_DP_CAP,
     check_width,
     dp_partition,
-    dp_partition_capped,
     oracle_partition,
     table_csv,
 )
@@ -47,6 +46,8 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_CAP = 3
+
+NO_INPUT = "a circuit is required: --circuit <path> or --gen <name:size>"
 
 
 @dataclass
@@ -113,22 +114,22 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
     return parse_circuit(text, name=name)
 
 
-def _single_circuit(args) -> Circuit:
+def _single_circuit(args) -> tuple[Circuit, int | None]:
     """Load or generate the input, checking its width against the DP cap
-    before gates are generated or anything is sized by the width."""
+    before gates are generated or anything is sized by the width. Returns
+    the circuit and the DP cap it was checked against (None: the default)."""
     if args.circuit and args.gen:
         raise ValueError("give either --circuit or --gen, not both")
     if args.circuit:
         circuit = load_circuit(args.circuit, args.decompose_mct)
-        _dp_cap(args, circuit.width)
-        return circuit
+        return circuit, _dp_cap(args, circuit.width)
     if args.gen:
         name, sizes = parse_gen_spec(args.gen)
         if len(sizes) != 1:
             raise ValueError("this command takes a single generator size, e.g. qft:4")
-        _dp_cap(args, sizes[0])
-        return GENERATORS[name](sizes[0])
-    raise ValueError("a circuit is required: --circuit <path> or --gen <name:size>")
+        cap = _dp_cap(args, sizes[0])
+        return GENERATORS[name](sizes[0]), cap
+    raise ValueError(NO_INPUT)
 
 
 def _single_k(args) -> int:
@@ -284,16 +285,13 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
 
 def cmd_partition(args) -> int:
     _check_threads(args)
-    circuit = _single_circuit(args)
+    circuit, cap = _single_circuit(args)
     k = _single_k(args)
     t0 = time.perf_counter()
     graph = qc_to_bigraph(circuit)
     w = weight_matrix(graph)
-    kwargs = dict(keep_table=args.table, cap=_dp_cap(args, circuit.width))
-    if args.max_part_size is None:
-        result = dp_partition(w, k, **kwargs)
-    else:
-        result = dp_partition_capped(w, k, args.max_part_size, **kwargs)
+    result = dp_partition(w, k, max_part_size=args.max_part_size,
+                          keep_table=args.table, cap=cap)
     wall_ms = None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
     if args.dot:
         Path(args.dot).write_text(bigraph_to_dot(graph, circuit.name), encoding="utf-8")
@@ -308,7 +306,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    circuit = _single_circuit(args)
+    circuit, _ = _single_circuit(args)
     k = _single_k(args)
     t0 = time.perf_counter()
     w = weight_matrix(qc_to_bigraph(circuit))
@@ -316,7 +314,7 @@ def cmd_oracle(args) -> int:
     wall_ms = None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
     report = _build_report(circuit, k, result, "oracle", args, wall_ms)
     if args.compare_dp:
-        dp_result = dp_partition(w, k, cap=_dp_cap(args, circuit.width))
+        dp_result = dp_partition(w, k)
         report.dp_cost = dp_result.cost
         report.dp_match = dp_result.cost == result.cost
     emit_report(report, args.format)
@@ -334,6 +332,8 @@ def _bench_sources(args):
 
 def cmd_bench(args) -> int:
     _check_threads(args)
+    if not args.circuit and not args.gen:
+        raise ValueError(NO_INPUT)
     ks = parse_int_list(args.parts) if args.parts else []
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
@@ -355,10 +355,7 @@ def cmd_bench(args) -> int:
         for k in ks:
             t0 = time.perf_counter()
             try:
-                if args.max_part_size is None:
-                    result = dp_partition(w, k, cap=cap)
-                else:
-                    result = dp_partition_capped(w, k, args.max_part_size, cap=cap)
+                result = dp_partition(w, k, max_part_size=args.max_part_size, cap=cap)
             except QcpartError as exc:
                 writer.writerow([circuit.name, circuit.width, circuit.size, k, "", "", "", str(exc)])
                 continue
@@ -424,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p, single=True)
     p.add_argument("--compare-dp", action="store_true",
                    help="also run the DP and report whether the costs match")
-    p.add_argument("--force", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="CSV sweep over circuits and K values")

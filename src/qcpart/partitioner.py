@@ -4,7 +4,7 @@ Qubit subsets are plain int bitmasks: bit i set means qubit i (0-based) is in
 the subset, and the decimal value of the mask is the memo-table index. The
 main entry points are:
 
-  * dp_partition / dp_partition_capped - memoized subset DP, optimal.
+  * dp_partition - memoized subset DP, optimal; max_part_size caps the parts.
   * dp_table - the full memo table, for reporting and CSV export.
   * oracle_partition - independent brute force over all set partitions,
     used to cross-check the DP on small instances.
@@ -19,7 +19,6 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
@@ -156,10 +155,6 @@ class DpTable:
                 for mask in range(1, 1 << self.n)]
         return {"header": header, "rows": rows}
 
-    def to_csv(self, out: TextIO) -> None:
-        """The payload as CSV; unreachable entries render as N.A."""
-        out.write(table_csv(self.payload()))
-
     def csv_string(self) -> str:
         return table_csv(self.payload())
 
@@ -219,21 +214,9 @@ def check_width(n: int, cap: int | None = None) -> None:
     if n > dp_cap:
         raise SizeCapError(
             f"{n} qubits exceeds the exact-partitioner cap ({dp_cap}); the state space "
-            f"grows as 3^n. Raise the cap to proceed anyway (CLI: --force), or use the "
-            f"brute-force oracle for tiny instances."
+            f"grows as 3^n. Raise the cap to proceed anyway (CLI: partition or bench "
+            f"--force), or use the brute-force oracle for tiny instances."
         )
-
-
-def _check_problem(w: WeightMatrix, k: int, cap: int | None, threads: int) -> int:
-    n = w.n
-    if not 1 <= k <= n:
-        raise InfeasiblePartitionError(
-            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
-        )
-    check_width(n, cap)
-    if threads < 1:
-        raise InfeasiblePartitionError(f"threads must be >= 1, got {threads}")
-    return n
 
 
 def _reconstruct(table: DpTable, k: int) -> list[QubitSubset]:
@@ -249,9 +232,14 @@ def _reconstruct(table: DpTable, k: int) -> list[QubitSubset]:
     return parts
 
 
-def _run_dp(w: WeightMatrix, k: int, part_cap: int | None, keep_table: bool,
-            cap: int | None, threads: int) -> PartitionResult:
-    n = _check_problem(w, k, cap, threads)
+def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
+           full_table: bool) -> DpTable:
+    n = w.n
+    if not 1 <= k <= n:
+        raise InfeasiblePartitionError(
+            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
+        )
+    check_width(n, cap)
     if part_cap is not None:
         if part_cap < 1:
             raise InfeasiblePartitionError("max_part_size must be >= 1")
@@ -260,8 +248,23 @@ def _run_dp(w: WeightMatrix, k: int, part_cap: int | None, keep_table: bool,
                 f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
-    table = DpTable(n, k, effective_cap,
-                    *dpcore.solve(w.m, k, effective_cap, full_table=keep_table))
+    return DpTable(n, k, effective_cap,
+                   *dpcore.solve(w.m, k, effective_cap, full_table=full_table))
+
+
+def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
+                 keep_table: bool = False, cap: int | None = None) -> PartitionResult:
+    """Split the qubit set into exactly k non-empty parts minimizing the
+    number of two-qubit gates that cross parts.
+
+    The optimum is exact; ties between equal-cost splits resolve toward the
+    numerically lowest peeled submask, so the returned assignment is
+    deterministic. ``max_part_size`` restricts every part to at most that
+    many qubits. ``keep_table`` retains the full memo table on the result.
+    ``cap`` overrides the qubit-count guardrail (default 24).
+    """
+    table = _solve(w, k, max_part_size, cap, keep_table)
+    n = w.n
     cost = table.cost_at((1 << n) - 1, k)
     if cost is None:
         raise QcpartError("no feasible partition found for a feasible problem")
@@ -273,35 +276,13 @@ def _run_dp(w: WeightMatrix, k: int, part_cap: int | None, keep_table: bool,
         assignment=assignment,
         cost=cost,
         table=table if keep_table else None,
-        max_part_size=part_cap,
+        max_part_size=max_part_size,
     )
 
 
-def dp_partition(w: WeightMatrix, k: int, *, keep_table: bool = False,
-                 cap: int | None = None, threads: int = 1) -> PartitionResult:
-    """Split the qubit set into exactly k non-empty parts minimizing the
-    number of two-qubit gates that cross parts.
-
-    The optimum is exact; ties between equal-cost splits resolve toward the
-    numerically lowest peeled submask, so the returned assignment is
-    deterministic. ``cap`` overrides the qubit-count guardrail (default 24).
-    ``threads`` must be >= 1; the DP runs on one thread whatever its value.
-    """
-    return _run_dp(w, k, None, keep_table, cap, threads)
-
-
-def dp_partition_capped(w: WeightMatrix, k: int, max_part_size: int, *,
-                        keep_table: bool = False, cap: int | None = None,
-                        threads: int = 1) -> PartitionResult:
-    """Same search restricted to parts of at most ``max_part_size`` qubits."""
-    return _run_dp(w, k, max_part_size, keep_table, cap, threads)
-
-
-def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None,
-             threads: int = 1) -> DpTable:
+def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
     """Full memo table over every non-empty mask and 1 <= level <= k."""
-    n = _check_problem(w, k, cap, threads)
-    return DpTable(n, k, n, *dpcore.solve(w.m, k, n, full_table=True))
+    return _solve(w, k, None, cap, True)
 
 
 _RGS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

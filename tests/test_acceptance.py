@@ -186,7 +186,7 @@ def test_criterion_09_scale_smoke():
     circ = build_random_circuit(np.random.default_rng(CORPUS_SEED + 2), 18, 300, name="rand18")
     w = wmat(circ)
     t0 = time.perf_counter()
-    result = dp_partition(w, 4, threads=1)
+    result = dp_partition(w, 4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     assert result.assignment.k == 4

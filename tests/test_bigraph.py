@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from qcpart import (
+    PartitionAssignment,
     WeightMatrix,
+    assignment_cost,
     bigraph_to_dot,
-    connect,
-    connect_bigraph,
     gen_qft,
     parse_circuit,
     qc_to_bigraph,
+    trace_execution,
     weight_matrix,
 )
 from conftest import build_random_circuit
@@ -88,24 +89,22 @@ def test_weight_matrix_is_read_only(w4):
 
 
 def test_gate_scan_and_matrix_paths_agree():
-    # crossing counts computed gate-by-gate from the graph must equal the sums
-    # taken from the weight matrix, for random circuits and random splits
+    # global gates counted gate by gate by the executor must equal the cut
+    # weight summed from the weight matrix, for random circuits under random
+    # (not optimal) assignments: qubits in s1, in s2, or in neither
     rng = np.random.default_rng(99)
     for _ in range(40):
         n = int(rng.integers(2, 9))
         c = build_random_circuit(rng, n, int(rng.integers(0, 35)))
-        g = qc_to_bigraph(c)
-        w = weight_matrix(g)
+        w = weight_matrix(qc_to_bigraph(c))
         full = (1 << n) - 1
         s1 = int(rng.integers(0, full + 1))
         s2full = full & ~s1
         s2 = int(rng.integers(0, full + 1)) & s2full
-        assert connect_bigraph(g, s1, s2) == connect(s1, s2, w)
-
-
-def test_connect_bigraph_rejects_overlap(circ4):
-    with pytest.raises(ValueError):
-        connect_bigraph(qc_to_bigraph(circ4), 0b0011, 0b0010)
+        a = PartitionAssignment.from_labels(
+            [0 if (s1 >> q) & 1 else 1 if (s2 >> q) & 1 else 2 for q in range(n)])
+        n_global = sum(e.is_global for e in trace_execution(c, a))
+        assert n_global == assignment_cost(a, w)
 
 
 def test_dot_export(circ3):

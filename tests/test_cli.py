@@ -334,9 +334,10 @@ def test_bench_records_row_errors_and_continues(capsys, sample4):
 
 
 def test_bench_no_sources(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--parts", "2")
-    assert code == 0
-    assert out.splitlines() == ["name,width,gates,k,cost,ratio_r,wall_time_ms,error"]
+    code, out, err = run_cli(capsys, "bench", "--parts", "1..3")
+    assert code == 2
+    assert out == ""
+    assert "a circuit is required" in err
 
 
 # --- gen ------------------------------------------------------------------------

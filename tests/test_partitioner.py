@@ -12,7 +12,6 @@ from qcpart import (
     assignment_cost,
     connect,
     dp_partition,
-    dp_partition_capped,
     dp_table,
     format_subset,
     gen_qft,
@@ -214,14 +213,14 @@ def test_table_bounds_checking(w4):
 # --- capped ------------------------------------------------------------------
 
 def test_capped_balanced_split(w4):
-    r = dp_partition_capped(w4, 2, 2)
+    r = dp_partition(w4, 2, max_part_size=2)
     assert r.cost == 3
     assert r.assignment.as_lists() == [[1, 2], [3, 4]]
     assert r.constrained and r.max_part_size == 2
 
 
 def test_capped_all_singletons(w4):
-    r = dp_partition_capped(w4, 4, 1)
+    r = dp_partition(w4, 4, max_part_size=1)
     assert r.cost == 7
     assert r.assignment.sizes() == (1, 1, 1, 1)
 
@@ -229,16 +228,16 @@ def test_capped_all_singletons(w4):
 def test_capped_inactive_equals_unconstrained(w4, w4h):
     for w in (w4, w4h):
         for k in range(1, 5):
-            a = dp_partition_capped(w, k, w.n)
+            a = dp_partition(w, k, max_part_size=w.n)
             b = dp_partition(w, k)
             assert a.cost == b.cost and a.assignment == b.assignment
 
 
 def test_capped_infeasible(w4):
     with pytest.raises(InfeasiblePartitionError):
-        dp_partition_capped(w4, 2, 1)
+        dp_partition(w4, 2, max_part_size=1)
     with pytest.raises(InfeasiblePartitionError):
-        dp_partition_capped(w4, 2, 0)
+        dp_partition(w4, 2, max_part_size=0)
 
 
 def test_capped_respects_bound_on_randoms():
@@ -248,9 +247,15 @@ def test_capped_respects_bound_on_randoms():
         w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 25))))
         k = int(rng.integers(1, n + 1))
         cap = int(rng.integers((n + k - 1) // k, n + 1))
-        r = dp_partition_capped(w, k, cap)
+        r = dp_partition(w, k, max_part_size=cap)
         assert max(r.assignment.sizes()) <= cap
         assert r.cost == assignment_cost(r.assignment, w)
+        # optimal among every k-block partition whose blocks fit the cap
+        labels, nblocks = _rgs_table(n)
+        best = min(assignment_cost(PartitionAssignment.from_labels(row), w)
+                   for row in labels[nblocks == k].tolist()
+                   if max(row.count(b) for b in range(k)) <= cap)
+        assert r.cost == best
 
 
 # --- oracle ------------------------------------------------------------------
@@ -395,23 +400,6 @@ def test_dp_recount_mismatch_raises(w4, monkeypatch):
     monkeypatch.setattr(partitioner, "assignment_cost", lambda a, w: real(a, w) + 1)
     with pytest.raises(QcpartError, match="recounted"):
         dp_partition(w4, 3)
-
-
-def test_threads_must_be_positive(w4):
-    for bad in (0, -5):
-        with pytest.raises(InfeasiblePartitionError, match="threads"):
-            dp_partition(w4, 2, threads=bad)
-        with pytest.raises(InfeasiblePartitionError, match="threads"):
-            dp_table(w4, 2, threads=bad)
-
-
-def test_level_parallelism_is_deterministic():
-    w = wmat(build_random_circuit(np.random.default_rng(61), 12, 120))
-    for k in (2, 4, 6):
-        a = dp_partition(w, k, threads=1)
-        b = dp_partition(w, k, threads=4)
-        assert a.cost == b.cost
-        assert a.assignment == b.assignment
 
 
 # --- assignments ----------------------------------------------------------------
