@@ -36,6 +36,7 @@ from .executor import (TraceEntry, compute_metrics, format_ratio, trace_executio
                        trace_to_records, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
+    check_oracle_width,
     check_width,
     dp_partition,
     oracle_partition,
@@ -114,20 +115,20 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
     return parse_circuit(text, name=name)
 
 
-def _single_circuit(args) -> tuple[Circuit, int | None]:
-    """Load or generate the input, checking its width against the DP cap
-    before gates are generated or anything is sized by the width. Returns
-    the circuit and the DP cap it was checked against (None: the default)."""
+def _single_circuit(args, check_width_of) -> tuple[Circuit, int | None]:
+    """Load or generate the input, passing its width to
+    ``check_width_of(args, width)`` before gates are generated or anything
+    is sized by the width. Returns the circuit and what the check returned."""
     if args.circuit and args.gen:
         raise ValueError("give either --circuit or --gen, not both")
     if args.circuit:
         circuit = load_circuit(args.circuit, args.decompose_mct)
-        return circuit, _dp_cap(args, circuit.width)
+        return circuit, check_width_of(args, circuit.width)
     if args.gen:
         name, sizes = parse_gen_spec(args.gen)
         if len(sizes) != 1:
             raise ValueError("this command takes a single generator size, e.g. qft:4")
-        cap = _dp_cap(args, sizes[0])
+        cap = check_width_of(args, sizes[0])
         return GENERATORS[name](sizes[0]), cap
     raise ValueError(NO_INPUT)
 
@@ -144,6 +145,13 @@ def _dp_cap(args, width: int) -> int | None:
     cap = max(DEFAULT_DP_CAP, width) if getattr(args, "force", False) else None
     check_width(width, cap)
     return cap
+
+
+def _oracle_widths(args, width: int) -> None:
+    """The brute-force cap, and with --compare-dp the DP's default cap."""
+    check_oracle_width(width)
+    if args.compare_dp:
+        check_width(width)
 
 
 def _check_threads(args) -> None:
@@ -285,7 +293,7 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
 
 def cmd_partition(args) -> int:
     _check_threads(args)
-    circuit, cap = _single_circuit(args)
+    circuit, cap = _single_circuit(args, _dp_cap)
     k = _single_k(args)
     t0 = time.perf_counter()
     graph = qc_to_bigraph(circuit)
@@ -306,7 +314,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    circuit, _ = _single_circuit(args)
+    circuit, _ = _single_circuit(args, _oracle_widths)
     k = _single_k(args)
     t0 = time.perf_counter()
     w = weight_matrix(qc_to_bigraph(circuit))
@@ -334,7 +342,7 @@ def cmd_bench(args) -> int:
     _check_threads(args)
     if not args.circuit and not args.gen:
         raise ValueError(NO_INPUT)
-    ks = parse_int_list(args.parts) if args.parts else []
+    ks = parse_int_list(args.parts)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
     for kind, source in _bench_sources(args):

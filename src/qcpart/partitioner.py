@@ -117,35 +117,47 @@ class PartitionAssignment:
 
 class DpTable:
     """Memo table over (mask, k): the optimal cost and the peeled submask that
-    achieves it, read from the per-level dicts of ``dpcore.solve``.
+    achieves it, read from the per-level arrays of ``dpcore.solve``. A full
+    table is indexed by mask; otherwise a level holds only the odd masks,
+    indexed by mask >> 1.
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
     or no split satisfying the part-size cap); ``choice_at`` returns None at
     k=1 and for unreachable states.
     """
 
-    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list):
+    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list,
+                 full_table: bool):
         self.n = n
         self.k_max = k_max
         self.cap = cap
         self._cost = cost_levels
         self._choice = choice_levels
+        self._full = full_table
 
-    def _check(self, mask: int, k: int) -> None:
+    def _index(self, mask: int, k: int) -> int | None:
+        """Array index of (mask, k) at a level k >= 2; None when not stored."""
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in 1..{self.k_max}")
         if not 1 <= mask < (1 << self.n):
             raise ValueError(f"mask must be a non-empty subset of {self.n} qubits")
+        if k == 1 or not (self._full or mask & 1):
+            return None
+        return mask if self._full else mask >> 1
 
     def cost_at(self, mask: int, k: int) -> int | None:
-        self._check(mask, k)
+        i = self._index(mask, k)
         if k == 1:
             return 0 if mask.bit_count() <= self.cap else None
-        return self._cost[k].get(mask)
+        if i is None:
+            return None
+        cost = self._cost[k].item(i)
+        return cost if cost < dpcore.INF else None
 
     def choice_at(self, mask: int, k: int) -> QubitSubset | None:
-        self._check(mask, k)
-        return None if k == 1 else self._choice[k].get(mask)
+        i = self._index(mask, k)
+        # a reachable state always peels a non-empty part; 0 marks the others
+        return None if i is None else self._choice[k].item(i) or None
 
     def payload(self) -> dict:
         """``{header, rows}``: one row per subset index (the decimal mask
@@ -249,7 +261,7 @@ def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
     return DpTable(n, k, effective_cap,
-                   *dpcore.solve(w.m, k, effective_cap, full_table=full_table))
+                   *dpcore.solve(w.m, k, effective_cap, full_table=full_table), full_table)
 
 
 def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
@@ -320,6 +332,17 @@ def oracle_cap() -> int:
         raise QcpartError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+def check_oracle_width(n: int, cap: int | None = None) -> None:
+    """Raise SizeCapError when n qubits exceed the brute-force cap (default
+    ``oracle_cap()``). Cheap enough to run before anything is allocated."""
+    limit = oracle_cap() if cap is None else cap
+    if n > limit:
+        raise SizeCapError(
+            f"{n} qubits exceeds the brute-force cap ({limit}); set {ORACLE_CAP_ENV} "
+            f"or use dp_partition instead."
+        )
+
+
 def oracle_partition(w: WeightMatrix, k: int, cap: int | None = None) -> PartitionResult:
     """Brute-force optimum: enumerate every partition of the qubits into
     exactly k non-empty blocks and score each directly from the weight
@@ -330,12 +353,7 @@ def oracle_partition(w: WeightMatrix, k: int, cap: int | None = None) -> Partiti
     growth string wins.
     """
     n = w.n
-    limit = oracle_cap() if cap is None else cap
-    if n > limit:
-        raise SizeCapError(
-            f"{n} qubits exceeds the brute-force cap ({limit}); set {ORACLE_CAP_ENV} "
-            f"or use dp_partition instead."
-        )
+    check_oracle_width(n, cap)
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
             f"cannot split {n} qubit(s) into {k} non-empty part(s)"

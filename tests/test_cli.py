@@ -217,10 +217,12 @@ def test_exit_size_cap(capsys, tmp_path):
 def test_width_checked_before_allocation(capsys, tmp_path):
     huge = tmp_path / "huge.qc"
     huge.write_text("qubits 30000\ncnot 1 2\n")
-    for command in ("partition", "oracle"):
-        code, _, err = run_cli(capsys, command, "--circuit", str(huge), "--parts", "2")
-        assert code == 3
-        assert "30000 qubits exceeds the exact-partitioner cap (24)" in err
+    code, _, err = run_cli(capsys, "partition", "--circuit", str(huge), "--parts", "2")
+    assert code == 3
+    assert "30000 qubits exceeds the exact-partitioner cap (24)" in err
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(huge), "--parts", "2")
+    assert code == 3
+    assert "30000 qubits exceeds the brute-force cap (12)" in err
     t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "partition", "--gen", "qft:100000", "--parts", "2")
     assert code == 3 and "exceeds the exact-partitioner cap" in err
@@ -286,6 +288,24 @@ def test_oracle_cap_exit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "oracle", "--circuit", str(wide), "--parts", "2")
     assert code == 3
     assert "QCPART_ORACLE_CAP" in err
+
+
+def test_oracle_width_checked_against_oracle_cap(capsys, tmp_path, monkeypatch):
+    q25 = tmp_path / "q25.qc"
+    q25.write_text("qubits 25\ncnot 1 2\n")
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "2")
+    assert code == 3 and "25 qubits exceeds the brute-force cap (12)" in err
+    monkeypatch.setenv("QCPART_ORACLE_CAP", "30")
+    # past the width check, the oracle's own K check refuses before enumerating
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "26")
+    assert code == 2 and "cannot split 25 qubit(s) into 26" in err
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "2",
+                           "--compare-dp")
+    assert code == 3 and "25 qubits exceeds the exact-partitioner cap (24)" in err
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "oracle", "--gen", "qft:100000", "--parts", "2")
+    assert code == 3 and "100000 qubits exceeds the brute-force cap (30)" in err
+    assert time.perf_counter() - t0 < 5  # the qft gates were never generated
 
 
 # --- bench ----------------------------------------------------------------------
