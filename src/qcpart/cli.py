@@ -6,7 +6,8 @@ Subcommands:
   bench      CSV sweep over circuits and K values
   gen        write a generated circuit as .qc text
 
-Reports go to stdout (text, JSON, or CSV); diagnostics go to stderr.
+Reports go to stdout (text, JSON, or CSV), each rendering the library's trace
+and memo-table objects once; diagnostics go to stderr.
 Exit codes: 0 success, 1 circuit parse/import error, 2 infeasible or invalid
 parameters, 3 size cap exceeded or out of memory.
 """
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import references
@@ -36,11 +36,11 @@ from .executor import (TraceEntry, compute_metrics, format_ratio, trace_executio
                        trace_to_records, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
+    DpTable,
     check_oracle_width,
     check_width,
     dp_partition,
     oracle_partition,
-    table_csv,
 )
 
 EXIT_OK = 0
@@ -53,7 +53,8 @@ NO_INPUT = "a circuit is required: --circuit <path> or --gen <name:size>"
 
 @dataclass
 class RunReport:
-    """Machine-readable result of one partition/oracle run."""
+    """Result of one partition/oracle run; ``trace`` and ``dp_table`` are the
+    library's objects, rendered once per format. None fields stay out of the JSON."""
 
     circuit_name: str
     width: int
@@ -65,19 +66,19 @@ class RunReport:
     flags: dict
     notes: list[str] | None = None
     references: dict | None = None
-    trace: list[dict] | None = None
-    dp_table: dict | None = None
+    trace: tuple[TraceEntry, ...] | None = None
+    dp_table: DpTable | None = None
     wall_time_ms: int | None = None
     dp_cost: int | None = None
     dp_match: bool | None = None
 
     def to_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
+        data = {name: value for name, value in vars(self).items() if value is not None}
+        if self.trace is not None:
+            data["trace"] = trace_to_records(self.trace)
+        if self.dp_table is not None:
+            data["dp_table"] = self.dp_table.payload()
         return json.dumps(data, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
 
 
 def parse_int_list(spec: str) -> list[int]:
@@ -115,22 +116,35 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
     return parse_circuit(text, name=name)
 
 
+def _checked_circuit(source, args, check_width_of) -> tuple[Circuit, int | None]:
+    """Load the file at path ``source`` or generate ``(generator, size)``, passing
+    the width to ``check_width_of(args, width)`` before gates are generated or
+    anything is sized by the width. Returns the circuit and the check's result."""
+    if isinstance(source, str):
+        circuit = load_circuit(source, args.decompose_mct)
+        return circuit, check_width_of(args, circuit.width)
+    name, size = source
+    checked = check_width_of(args, size)
+    return GENERATORS[name](size), checked
+
+
 def _single_circuit(args, check_width_of) -> tuple[Circuit, int | None]:
-    """Load or generate the input, passing its width to
-    ``check_width_of(args, width)`` before gates are generated or anything
-    is sized by the width. Returns the circuit and what the check returned."""
     if args.circuit and args.gen:
         raise ValueError("give either --circuit or --gen, not both")
     if args.circuit:
-        circuit = load_circuit(args.circuit, args.decompose_mct)
-        return circuit, check_width_of(args, circuit.width)
+        return _checked_circuit(args.circuit, args, check_width_of)
     if args.gen:
         name, sizes = parse_gen_spec(args.gen)
         if len(sizes) != 1:
             raise ValueError("this command takes a single generator size, e.g. qft:4")
-        cap = check_width_of(args, sizes[0])
-        return GENERATORS[name](sizes[0]), cap
+        return _checked_circuit((name, sizes[0]), args, check_width_of)
     raise ValueError(NO_INPUT)
+
+
+def _elapsed_ms(args, t0: float) -> int | None:
+    """Whole milliseconds since ``t0``; None under --no-timing, which the JSON
+    report omits and a CSV row writes as an empty cell."""
+    return None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
 
 
 def _single_k(args) -> int:
@@ -231,24 +245,10 @@ def emit_text(report: RunReport) -> str:
         )
     out = "\n".join(lines) + "\n"
     if report.trace is not None:
-        out += "\n" + trace_to_text(tuple(TraceEntry(
-            r["gate"] - 1, r["rendering"], r["kind"], tuple(r["parts"]), r["teleports_so_far"])
-            for r in report.trace))
+        out += "\n" + trace_to_text(report.trace)
     if report.dp_table is not None:
-        out += "\n" + table_csv(report.dp_table)
+        out += "\n" + report.dp_table.csv_string()
     return out
-
-
-def emit_csv_single(report: RunReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms"])
-    writer.writerow([
-        report.circuit_name, report.width, report.gate_count, report.k,
-        report.cost, report.ratio_r,
-        "" if report.wall_time_ms is None else report.wall_time_ms,
-    ])
-    return buf.getvalue()
 
 
 def emit_report(report: RunReport, fmt: str) -> None:
@@ -257,7 +257,12 @@ def emit_report(report: RunReport, fmt: str) -> None:
     elif fmt == "csv":
         if report.trace is not None or report.dp_table is not None:
             print("csv format has no trace/table section; ignoring --trace/--table", file=sys.stderr)
-        sys.stdout.write(emit_csv_single(report))
+        if report.dp_cost is not None:
+            print("csv format has no dp cross-check columns; ignoring --compare-dp", file=sys.stderr)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms"])
+        writer.writerow([report.circuit_name, report.width, report.gate_count, report.k,
+                         report.cost, report.ratio_r, report.wall_time_ms])
     else:
         sys.stdout.write(emit_text(report))
 
@@ -300,15 +305,14 @@ def cmd_partition(args) -> int:
     w = weight_matrix(graph)
     result = dp_partition(w, k, max_part_size=args.max_part_size,
                           keep_table=args.table, cap=cap)
-    wall_ms = None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
+    wall_ms = _elapsed_ms(args, t0)
     if args.dot:
         Path(args.dot).write_text(bigraph_to_dot(graph, circuit.name), encoding="utf-8")
         print(f"wrote bipartite graph to {args.dot}", file=sys.stderr)
     report = _build_report(circuit, k, result, "partition", args, wall_ms)
     if args.trace:
-        report.trace = trace_to_records(trace_execution(circuit, result.assignment))
-    if args.table:
-        report.dp_table = result.table.payload()
+        report.trace = trace_execution(circuit, result.assignment)
+    report.dp_table = result.table
     emit_report(report, args.format)
     return EXIT_OK
 
@@ -319,7 +323,7 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     w = weight_matrix(qc_to_bigraph(circuit))
     result = oracle_partition(w, k)
-    wall_ms = None if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
+    wall_ms = _elapsed_ms(args, t0)
     report = _build_report(circuit, k, result, "oracle", args, wall_ms)
     if args.compare_dp:
         dp_result = dp_partition(w, k)
@@ -330,12 +334,12 @@ def cmd_oracle(args) -> int:
 
 
 def _bench_sources(args):
-    for path in args.circuit or []:
-        yield ("file", path)
+    """Each input as a path or a ``(generator, size)`` pair."""
+    yield from args.circuit or []
     for spec in args.gen or []:
         name, sizes = parse_gen_spec(spec)
         for size in sizes:
-            yield ("gen", (name, size))
+            yield name, size
 
 
 def cmd_bench(args) -> int:
@@ -345,17 +349,11 @@ def cmd_bench(args) -> int:
     ks = parse_int_list(args.parts)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
-    for kind, source in _bench_sources(args):
+    for source in _bench_sources(args):
         try:
-            if kind == "file":
-                circuit = load_circuit(source, args.decompose_mct)
-                cap = _dp_cap(args, circuit.width)
-            else:
-                name, size = source
-                cap = _dp_cap(args, size)
-                circuit = GENERATORS[name](size)
+            circuit, cap = _checked_circuit(source, args, _dp_cap)
         except (QcpartError, OSError, ValueError) as exc:
-            label = source if kind == "file" else f"{source[0]}:{source[1]}"
+            label = source if isinstance(source, str) else "%s:%d" % source
             for k in ks:
                 writer.writerow([label, "", "", k, "", "", "", str(exc)])
             continue
@@ -367,7 +365,7 @@ def cmd_bench(args) -> int:
             except QcpartError as exc:
                 writer.writerow([circuit.name, circuit.width, circuit.size, k, "", "", "", str(exc)])
                 continue
-            wall = "" if args.no_timing else int(round((time.perf_counter() - t0) * 1000))
+            wall = _elapsed_ms(args, t0)
             ratio = format_ratio(compute_metrics(circuit, result).ratio_r)
             writer.writerow([circuit.name, circuit.width, circuit.size, k,
                              result.cost, ratio, wall, ""])

@@ -168,17 +168,14 @@ class DpTable:
         return {"header": header, "rows": rows}
 
     def csv_string(self) -> str:
-        return table_csv(self.payload())
-
-
-def table_csv(payload: dict) -> str:
-    """CSV text of a ``DpTable.payload()``; None cells render as N.A."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(payload["header"])
-    for row in payload["rows"]:
-        writer.writerow(["N.A" if c is None else c for c in row])
-    return buf.getvalue()
+        """CSV text of ``payload()``; unreachable cells render as N.A."""
+        payload = self.payload()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(payload["header"])
+        for row in payload["rows"]:
+            writer.writerow(["N.A" if c is None else c for c in row])
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from qcpart import (PartitionAssignment, dp_table, parse_circuit, qc_to_bigraph, subset_of,
+                    trace_execution, trace_to_records, weight_matrix)
 from qcpart import cli
-from qcpart.cli import RunReport, main, parse_gen_spec, parse_int_list
+from qcpart.cli import main, parse_gen_spec, parse_int_list
 from conftest import SAMPLE3, SAMPLE4, SAMPLE4H
 
 
@@ -140,13 +145,13 @@ def test_partition_dot_export(capsys, sample3, tmp_path):
 
 
 def test_partition_csv_format_warns_on_trace(capsys, sample4):
-    code, out, err = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "2",
-                             "--format", "csv", "--no-timing", "--trace")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "name,width,gates,k,cost,ratio_r,wall_time_ms"
-    assert lines[1] == "sample4,4,7,2,2,0.25,"
-    assert "ignoring" in err
+    for command, flag in [("partition", "--trace"), ("oracle", "--compare-dp")]:
+        code, out, err = run_cli(capsys, command, "--circuit", sample4, "--parts", "2",
+                                 "--format", "csv", "--no-timing", flag)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines == ["name,width,gates,k,cost,ratio_r,wall_time_ms", "sample4,4,7,2,2,0.25,"]
+        assert f"ignoring {flag}" in err
 
 
 def test_partition_deterministic_output(capsys, sample4):
@@ -160,10 +165,31 @@ def test_partition_deterministic_output(capsys, sample4):
 def test_report_json_round_trip(capsys, sample4):
     _, out, _ = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "3",
                         "--format", "json", "--no-timing", "--trace", "--table")
-    r1 = RunReport.from_json(out)
-    r2 = RunReport.from_json(r1.to_json())
-    assert r1 == r2
-    assert r1.to_json() == out.strip()
+    assert json.dumps(json.loads(out), indent=2) == out.rstrip("\n")
+    data = json.loads(out)
+    circ = parse_circuit(SAMPLE4, name="sample4")
+    w = weight_matrix(qc_to_bigraph(circ))
+    assignment = PartitionAssignment.from_parts(
+        circ.width, [subset_of(q - 1 for q in part) for part in data["assignment"]])
+    assert data["trace"] == trace_to_records(trace_execution(circ, assignment))
+    assert data["dp_table"] == dp_table(w, 3).payload()
+
+
+def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
+    (tmp_path / "sample4h.qc").write_text(SAMPLE4H)
+    monkeypatch.chdir(tmp_path)
+    base = ["partition", "--circuit", "sample4h.qc", "--trace", "--table", "--no-timing"]
+    cases = [
+        (["--parts", "2"], "086a1d5b0454ddb713409aaf2965191180dcd351f2a083b09988ed7d18804a55"),
+        (["--parts", "2", "--format", "json"],
+         "0a515269e30ebe7643f6632be7d82175eb193ec2ecb85d467ae87bd68836a314"),
+        (["--parts", "3", "--max-part-size", "2", "--format", "json"],
+         "806f97494248d5d1ae790a861ce7b9f547a066cad65d1cc75d535083e0b74ead"),
+    ]
+    for extra, digest in cases:
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -415,10 +441,14 @@ def test_real_import_with_decomposition(capsys, tmp_path):
 # --- process-level smoke ----------------------------------------------------------
 
 def test_module_entry_point(sample4):
+    # the child imports the same qcpart as this test, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "qcpart.cli", "partition", "--circuit", sample4,
          "--parts", "3", "--format", "json", "--no-timing"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cost"] == 4
