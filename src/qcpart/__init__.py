@@ -38,6 +38,7 @@ from .executor import (
     compute_metrics,
     format_ratio,
     trace_execution,
+    trace_to_json,
     trace_to_records,
     trace_to_text,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "subset_of",
     "subset_qubits",
     "trace_execution",
+    "trace_to_json",
     "trace_to_records",
     "trace_to_text",
     "weight_matrix",

@@ -10,7 +10,8 @@ qubit-pair view an integer-weighted multigraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -20,23 +21,41 @@ from .circuit import Circuit
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Incidence structure: edges are (gate ordinal, qubit) pairs in gate order."""
+    """Incidence structure: edges are (gate ordinal, qubit) pairs in gate order.
+
+    ``pairs`` (derived, read-only) holds the (first, second) qubit of every
+    degree-2 gate vertex, in gate order, as an int64 array of shape (P, 2).
+    """
 
     num_qubits: int
     num_gates: int
     edges: tuple[tuple[int, int], ...]
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        degree = [0] * self.num_gates
-        for g, q in self.edges:
-            if not 0 <= g < self.num_gates:
-                raise ValueError(f"edge references unknown gate vertex {g}")
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"edge references unknown qubit vertex {q}")
-            degree[g] += 1
-        bad = [g for g, d in enumerate(degree) if d not in (1, 2)]
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64,
+                           count=2 * len(self.edges)).reshape(-1, 2)
+        g, q = ends[:, 0], ends[:, 1]
+        bad_gate = (g < 0) | (g >= self.num_gates)
+        bad = bad_gate | (q < 0) | (q >= self.num_qubits)
+        if bad.any():
+            i = int(np.argmax(bad))  # the first bad edge; its gate is checked first
+            if bad_gate[i]:
+                raise ValueError(f"edge references unknown gate vertex {g[i]}")
+            raise ValueError(f"edge references unknown qubit vertex {q[i]}")
+        degree = np.bincount(g, minlength=self.num_gates)
+        bad = np.flatnonzero((degree < 1) | (degree > 2)).tolist()
         if bad:
             raise ValueError(f"gate vertices with degree outside 1..2: {bad}")
+        order = np.argsort(g, kind="stable")  # a gate's edges become adjacent
+        g, q = g[order], q[order]
+        pairs = q[degree[g] == 2].reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            gate = int(np.flatnonzero(degree == 2)[loops[0]])
+            raise ValueError(f"gate vertex {gate} joins qubit {pairs[loops[0], 0]} twice")
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def num_vertices(self) -> int:
@@ -58,11 +77,14 @@ class WeightMatrix:
     """
 
     def __init__(self, m: np.ndarray):
-        m = np.array(m, dtype=np.int64, copy=True)
+        src = np.asarray(m)
+        m = np.array(src, dtype=np.int64, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("weight matrix must be square")
         if m.shape[0] < 1:
             raise ValueError("weight matrix needs at least one qubit")
+        if (m != src).any():  # the int64 copy truncated a fraction
+            raise ValueError("weights must be integers")
         if (m < 0).any():
             raise ValueError("weights must be non-negative")
         if (np.diagonal(m) != 0).any():
@@ -104,13 +126,10 @@ def qc_to_bigraph(circuit: Circuit) -> BipartiteGraph:
 def weight_matrix(graph: BipartiteGraph) -> WeightMatrix:
     """Pairwise interaction counts: each degree-2 gate vertex adds 1 to its
     qubit pair; degree-1 vertices contribute nothing."""
-    m = np.zeros((graph.num_qubits, graph.num_qubits), dtype=np.int64)
-    for ends in graph.gate_endpoints():
-        if len(ends) == 2:
-            a, b = ends
-            m[a, b] += 1
-            m[b, a] += 1
-    return WeightMatrix(m)
+    n = graph.num_qubits
+    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    m = np.bincount(a * n + b, minlength=n * n).reshape(n, n)
+    return WeightMatrix(m + m.T)
 
 
 def bigraph_to_dot(graph: BipartiteGraph, name: str = "bigraph") -> str:

@@ -190,7 +190,10 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                     raise CircuitSyntaxError(
                         f".variables lists {len(tokens) - 1} names, .numvars says {width}", lineno
                     )
-                var_index.update({v: i for i, v in enumerate(tokens[1:])})
+                for i, v in enumerate(tokens[1:]):
+                    if v in var_index:
+                        raise CircuitSyntaxError(f"variable {v!r} is already defined", lineno)
+                    var_index[v] = i
             elif head == ".begin":
                 in_body = True
             elif head == ".end":

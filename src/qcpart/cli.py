@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedGateError,
 )
 from .executor import (TraceEntry, compute_metrics, format_ratio, trace_execution,
-                       trace_to_records, trace_to_text)
+                       trace_to_json, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
     DpTable,
@@ -73,12 +73,22 @@ class RunReport:
     dp_match: bool | None = None
 
     def to_json(self) -> str:
-        data = {name: value for name, value in vars(self).items() if value is not None}
-        if self.trace is not None:
-            data["trace"] = trace_to_records(self.trace)
-        if self.dp_table is not None:
-            data["dp_table"] = self.dp_table.payload()
-        return json.dumps(data, indent=2)
+        """``json.dumps(..., indent=2)`` of the non-None fields, byte for byte,
+        with ``trace`` as ``trace_to_records`` and ``dp_table`` as its
+        ``payload()``; those two come from their templated renderers."""
+        fields = []
+        for name, value in vars(self).items():
+            if value is None:
+                continue
+            if name == "trace":
+                body = trace_to_json(value)
+            elif name == "dp_table":
+                body = value.json_string()
+            else:
+                body = json.dumps(value, indent=2)
+            # JSON escapes every newline inside a string, so this only indents
+            fields.append(f"  {json.dumps(name)}: " + body.replace("\n", "\n  "))
+        return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def parse_int_list(spec: str) -> list[int]:

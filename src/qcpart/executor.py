@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .circuit import Circuit
 from .partitioner import PartitionAssignment, PartitionResult
@@ -104,7 +105,7 @@ def trace_to_text(trace: tuple[TraceEntry, ...]) -> str:
 
 
 def trace_to_records(trace: tuple[TraceEntry, ...]) -> list[dict]:
-    """JSON-ready records, one per gate."""
+    """JSON-ready records, one per gate, in the key order of ``trace_to_json``."""
     return [
         {
             "gate": e.gate_ordinal + 1,
@@ -115,3 +116,28 @@ def trace_to_records(trace: tuple[TraceEntry, ...]) -> list[dict]:
         }
         for e in trace
     ]
+
+
+# one trace_to_records record at depth 1 of a json.dumps(..., indent=2) array
+_RECORD_JSON = ('  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": %s,\n'
+                '    "parts": %s,\n    "teleports_so_far": %d\n  }')
+
+
+def trace_to_json(trace: tuple[TraceEntry, ...]) -> str:
+    """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte.
+
+    The standard library drops to its pure-Python encoder whenever ``indent``
+    is set, so each record is filled into a fixed indent=2 template instead,
+    with strings escaped by the same C routine ``json.dumps`` uses.
+    """
+    if not trace:
+        return "[]"
+    enc = encode_basestring_ascii
+    return "[\n" + ",\n".join(
+        _RECORD_JSON % (
+            e.gate_ordinal + 1, enc(e.rendering), enc(e.kind),
+            "[\n      " + ",\n      ".join(map(str, e.parts)) + "\n    ]" if e.parts else "[]",
+            e.teleports_so_far,
+        )
+        for e in trace
+    ) + "\n]"

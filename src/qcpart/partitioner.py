@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -115,6 +118,16 @@ class PartitionAssignment:
         return [[q + 1 for q in subset_qubits(p)] for p in self.parts]
 
 
+def _subset_labels(n: int) -> list[str]:
+    """``format_subset(mask)`` for every mask below 2^n, built by doubling:
+    the label of mask | 1 << b lists qubit b + 1 before the label of mask."""
+    inner = [""]
+    for b in range(n):
+        top = str(b + 1)
+        inner += [top] + [top + "," + s for s in inner[1:]]
+    return ["{" + s + "}" for s in inner]
+
+
 class DpTable:
     """Memo table over (mask, k): the optimal cost and the peeled submask that
     achieves it, read from the per-level arrays of ``dpcore.solve``. A full
@@ -159,13 +172,41 @@ class DpTable:
         # a reachable state always peels a non-empty part; 0 marks the others
         return None if i is None else self._choice[k].item(i) or None
 
+    def _column(self, k: int) -> list:
+        """``cost_at(mask, k)`` for every mask 1 .. 2^n - 1, read in one ``tolist()``."""
+        if k == 1:
+            return [0 if mask.bit_count() <= self.cap else None for mask in range(1, 1 << self.n)]
+        costs = [c if c < dpcore.INF else None for c in self._cost[k].tolist()]
+        if self._full:
+            return costs[1:]
+        column = [None] * ((1 << self.n) - 1)
+        column[::2] = costs  # odd masks; level k holds mask >> 1
+        return column
+
     def payload(self) -> dict:
         """``{header, rows}``: one row per subset index (the decimal mask
         value) with its qubit set and one cost per k, None when unreachable."""
         header = ["index", "qubits"] + [f"k={k}" for k in range(1, self.k_max + 1)]
-        rows = [[mask, format_subset(mask)] + [self.cost_at(mask, k) for k in range(1, self.k_max + 1)]
-                for mask in range(1, 1 << self.n)]
+        columns = [self._column(k) for k in range(1, self.k_max + 1)]
+        labels = _subset_labels(self.n)
+        rows = [[mask, labels[mask], *costs]
+                for mask, costs in zip(range(1, 1 << self.n), zip(*columns))]
         return {"header": header, "rows": rows}
+
+    def json_string(self) -> str:
+        """``json.dumps(self.payload(), indent=2)``, byte for byte, with each
+        row joined from its rendered cells instead of the standard library's
+        pure-Python indent encoder."""
+        payload = self.payload()
+        header = json.dumps(payload["header"], indent=2).replace("\n", "\n  ")
+        # cells: the index, the encoded qubit set, then each cost as str(int)
+        # or null (no int's str contains "None")
+        rows = ",\n".join(
+            "    [\n      %d,\n      %s,\n      %s\n    ]"
+            % (row[0], encode_basestring_ascii(row[1]),
+               ",\n      ".join(map(str, row[2:])).replace("None", "null"))
+            for row in payload["rows"])
+        return '{\n  "header": ' + header + ',\n  "rows": [\n' + rows + "\n  ]\n}"
 
     def csv_string(self) -> str:
         """CSV text of ``payload()``; unreachable cells render as N.A."""
@@ -294,15 +335,11 @@ def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
     return _solve(w, k, None, cap, True)
 
 
-_RGS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _rgs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All set partitions of n elements as restricted growth strings, in
-    lexicographic order, plus the block count of each row."""
-    cached = _RGS_CACHE.get(n)
-    if cached is not None:
-        return cached
+    lexicographic order, plus the block count of each row. Cached; the
+    arrays are read-only."""
     labels = np.zeros((1, 1), dtype=np.uint8)
     nblocks = np.ones(1, dtype=np.uint8)
     for _ in range(n - 1):
@@ -314,7 +351,6 @@ def _rgs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         nblocks = nblocks[parent] + (newcol == nblocks[parent])
     labels.setflags(write=False)
     nblocks.setflags(write=False)
-    _RGS_CACHE[n] = (labels, nblocks)
     return labels, nblocks
 
 

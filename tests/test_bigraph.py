@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcpart import (
+    BipartiteGraph,
     PartitionAssignment,
     WeightMatrix,
     assignment_cost,
@@ -40,6 +41,29 @@ def test_single_qubit_gate_degree():
 def test_conversion_is_deterministic():
     text = "qubits 3\ncnot 1 2\nh 3\ncnot 2 3\n"
     assert qc_to_bigraph(parse_circuit(text)) == qc_to_bigraph(parse_circuit(text))
+
+
+def test_bipartite_graph_validation():
+    # the first bad edge is reported, its gate vertex before its qubit
+    with pytest.raises(ValueError, match="unknown qubit vertex 5"):
+        BipartiteGraph(2, 2, ((0, 5), (7, 0)))
+    with pytest.raises(ValueError, match="unknown gate vertex 7"):
+        BipartiteGraph(2, 2, ((7, 5), (0, 9)))
+    with pytest.raises(ValueError, match="unknown gate vertex -1"):
+        BipartiteGraph(2, 1, ((0, 0), (-1, 1)))
+    with pytest.raises(ValueError, match=r"degree outside 1\.\.2: \[1, 2\]"):
+        BipartiteGraph(3, 3, ((0, 0), (2, 0), (2, 1), (2, 2)))
+    with pytest.raises(ValueError, match="gate vertex 1 joins qubit 0 twice"):
+        BipartiteGraph(2, 3, ((0, 0), (0, 1), (1, 0), (2, 1), (1, 0)))
+    with pytest.raises(ValueError, match="gate vertex 0 joins qubit 0 twice"):
+        BipartiteGraph(2, 1, ((0, 0), (0, 0)))
+
+
+def test_weight_matrix_from_unordered_edges():
+    # edges need not be grouped by gate; each degree-2 vertex still adds one
+    g = BipartiteGraph(3, 3, ((1, 2), (0, 0), (2, 1), (1, 0), (0, 1)))
+    assert g.pairs.tolist() == [[0, 1], [2, 0]]
+    assert weight_matrix(g).m.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
 
 
 def test_weight_matrix_four_qubit_sample(w4):
@@ -81,6 +105,9 @@ def test_weight_matrix_validation():
         WeightMatrix(np.array([[0, -1], [-1, 0]]))  # negative
     with pytest.raises(ValueError):
         WeightMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="weights must be integers"):
+        WeightMatrix(np.array([[0, 1.7], [1.7, 0]]))
+    assert WeightMatrix(np.array([[0, 2.0], [2.0, 0]]))[0, 1] == 2
 
 
 def test_weight_matrix_is_read_only(w4):

@@ -185,6 +185,11 @@ def test_import_real_header_errors():
         import_real(REAL_HEADER + "t2 a z\n")
 
 
+def test_import_real_rejects_duplicate_variables():
+    with pytest.raises(CircuitSyntaxError, match=r"line 2: variable 'a' is already defined"):
+        import_real(".numvars 3\n.variables a a b\nt2 a b\n")
+
+
 def test_import_real_stops_at_end_and_ignores_directives():
     text = (".version 1.0\n.numvars 2\n.variables a b\n.inputs a b\n"
             ".begin\nt2 a b\n.end\nt2 b a\n")

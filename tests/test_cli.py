@@ -177,19 +177,33 @@ def test_report_json_round_trip(capsys, sample4):
 
 def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
     (tmp_path / "sample4h.qc").write_text(SAMPLE4H)
+    # a label json.dumps must escape: non-ASCII, quote, backslash
+    (tmp_path / "labels.qc").write_text('qubits 3\ncnot 1 2\n\u00e9"\\x 2 3\nh\u00e9\\t 3\n',
+                                        encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     base = ["partition", "--circuit", "sample4h.qc", "--trace", "--table", "--no-timing"]
     cases = [
-        (["--parts", "2"], "086a1d5b0454ddb713409aaf2965191180dcd351f2a083b09988ed7d18804a55"),
-        (["--parts", "2", "--format", "json"],
+        (base + ["--parts", "2"],
+         "086a1d5b0454ddb713409aaf2965191180dcd351f2a083b09988ed7d18804a55"),
+        (base + ["--parts", "2", "--format", "json"],
          "0a515269e30ebe7643f6632be7d82175eb193ec2ecb85d467ae87bd68836a314"),
-        (["--parts", "3", "--max-part-size", "2", "--format", "json"],
+        (base + ["--parts", "3", "--max-part-size", "2", "--format", "json"],
          "806f97494248d5d1ae790a861ce7b9f547a066cad65d1cc75d535083e0b74ead"),
+        (["oracle", "--circuit", "sample4h.qc", "--parts", "2", "--compare-dp",
+          "--format", "json", "--no-timing"],
+         "0df266079044c64613bf27d4a4ef0f529cce14fe063f5c2379c63c5d8939aaf8"),
+        # carries the float "references" of qft at K=3
+        (["partition", "--gen", "qft:5", "--parts", "3", "--format", "json", "--trace",
+          "--no-timing"],
+         "90dcefa864dd4b1bd224fc2a688aa41111ce50027343ca54ac2131fb15fdb439"),
+        (["partition", "--circuit", "labels.qc", "--parts", "2", "--format", "json", "--trace",
+          "--table", "--no-timing"],
+         "dfccedc00ca49892f741ebb190be721e679d5c2b8d22d867fd927c0c129f7fc2"),
     ]
-    for extra, digest in cases:
-        code, out, _ = run_cli(capsys, *base, *extra)
+    for argv, digest in cases:
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # --- exit codes -----------------------------------------------------------------

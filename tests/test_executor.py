@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from qcpart import (
     GLOBAL,
     LOCAL,
+    Circuit,
+    Gate,
     PartitionAssignment,
     assignment_cost,
     compute_metrics,
@@ -14,6 +17,7 @@ from qcpart import (
     gen_qft,
     qc_to_bigraph,
     trace_execution,
+    trace_to_json,
     trace_to_records,
     trace_to_text,
     weight_matrix,
@@ -125,3 +129,24 @@ def test_trace_records(circ4h):
         "parts": [0, 1],
         "teleports_so_far": 1,
     }
+
+
+# labels json.dumps must escape: quote, backslash, non-ASCII (one outside the
+# BMP, so a surrogate pair), control characters and U+2028
+ODD_LABELS = ["cnot", 'a"b', "back\\slash", "\u00e9", "\u03c8", "\U0001f642", "\x00\x1f\x7f",
+              "tab\tnew\nline\r", "\u2028", "\u00df"]
+
+
+def test_trace_to_json_matches_json_dumps():
+    rng = np.random.default_rng(61)
+    empty = trace_execution(Circuit(width=2), PartitionAssignment.from_parts(2, [0b11]))
+    assert trace_to_json(empty) == json.dumps(trace_to_records(empty), indent=2) == "[]"
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        c = build_random_circuit(rng, n, int(rng.integers(0, 40)))
+        gates = tuple(Gate(g.ordinal, str(rng.choice(ODD_LABELS)), g.qubits) for g in c.gates)
+        c = Circuit(width=n, gates=gates)
+        w = weight_matrix(qc_to_bigraph(c))
+        for k in range(1, min(n, 3) + 1):
+            trace = trace_execution(c, dp_partition(w, k).assignment)
+            assert trace_to_json(trace) == json.dumps(trace_to_records(trace), indent=2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +200,28 @@ def test_table_csv_shape(w4):
     assert lines[1] == "1,{1},0,N.A"
     assert lines[3] == '3,"{2,1}",0,1'
     assert len(lines) == 16
+
+
+def test_table_payload_reads_every_cell(w4, w4h):
+    # payload() reads each level in one tolist(); cost_at reads one cell
+    rng = np.random.default_rng(17)
+    w8 = wmat(build_random_circuit(rng, 8, 14))
+    tables = [dp_table(w4, 4), dp_table(w4h, 2),
+              dp_partition(w8, 3, max_part_size=3, keep_table=True).table,
+              partitioner._solve(w8, 3, 4, None, False),  # odd masks only
+              dp_table(WeightMatrix(np.zeros((1, 1))), 1)]
+    for t in tables:
+        assert t.payload()["rows"] == [
+            [mask, format_subset(mask)] + [t.cost_at(mask, k) for k in range(1, t.k_max + 1)]
+            for mask in range(1, 1 << t.n)]
+
+
+def test_table_json_string_matches_json_dumps(w4):
+    capped = dp_partition(w4, 3, max_part_size=2, keep_table=True).table
+    tables = [dp_table(w4, 3), capped, dp_table(WeightMatrix(np.zeros((1, 1))), 1)]
+    assert None in capped.payload()["rows"][14]  # {4,3,2,1} at k=1 is over the cap
+    for t in tables:
+        assert t.json_string() == json.dumps(t.payload(), indent=2)
 
 
 def test_table_bounds_checking(w4):
