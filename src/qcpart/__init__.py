@@ -48,7 +48,6 @@ from .partitioner import (
     PartitionResult,
     QubitSubset,
     assignment_cost,
-    connect,
     dp_partition,
     dp_table,
     format_subset,
@@ -81,7 +80,6 @@ __all__ = [
     "assignment_cost",
     "bigraph_to_dot",
     "compute_metrics",
-    "connect",
     "dp_partition",
     "dp_table",
     "format_ratio",

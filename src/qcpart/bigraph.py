@@ -61,13 +61,6 @@ class BipartiteGraph:
     def num_vertices(self) -> int:
         return self.num_qubits + self.num_gates
 
-    def gate_endpoints(self) -> list[tuple[int, ...]]:
-        """Qubits touched by each gate vertex, indexed by gate ordinal."""
-        ends: list[list[int]] = [[] for _ in range(self.num_gates)]
-        for g, q in self.edges:
-            ends[g].append(q)
-        return [tuple(e) for e in ends]
-
 
 class WeightMatrix:
     """Symmetric n x n matrix of two-qubit gate counts per qubit pair.
@@ -116,11 +109,11 @@ class WeightMatrix:
 def qc_to_bigraph(circuit: Circuit) -> BipartiteGraph:
     """Convert a circuit to its bipartite graph, one edge per (gate, qubit)
     incidence, added gate by gate from left to right (control before target)."""
-    edges = []
-    for g in circuit.gates:
-        for q in g.qubits:
-            edges.append((g.ordinal, q))
-    return BipartiteGraph(circuit.width, circuit.size, tuple(edges))
+    ends = circuit.ends.ravel()
+    touched = ends >= 0  # drops the -1 control of single-qubit gates
+    gate = np.repeat(np.arange(circuit.size), 2)[touched]
+    return BipartiteGraph(circuit.width, circuit.size,
+                          tuple(zip(gate.tolist(), ends[touched].tolist())))
 
 
 def weight_matrix(graph: BipartiteGraph) -> WeightMatrix:

@@ -1,8 +1,10 @@
-"""Gate-list circuit model, plain-text parser, RevLib-style importer, generators.
+"""Columnar circuit model, plain-text parser, RevLib-style importer, generators.
 
-Qubits are 0-based ints internally. Every file format and every report uses
-the 1-based numbering q1..qn, so the parser and renderer translate at the
-boundary.
+A Circuit stores its gates as columns (labels, and one (control, target) row
+per gate), so parsing, graph building and the trace run over arrays; Gate
+objects are made only when asked for. Qubits are 0-based ints internally;
+every file format and every report uses the 1-based numbering q1..qn, so the
+parser and renderer translate at the boundary.
 
 The canonical text format (``.qc``) is line-oriented:
 
@@ -16,7 +18,13 @@ number of operands matters downstream, so unknown labels are accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable
+
+import numpy as np
 
 from .errors import CircuitSyntaxError, UnsupportedGateError
 
@@ -51,9 +59,23 @@ class Gate:
         return self.qubits[-1]
 
 
-@dataclass(frozen=True)
+def _unchecked_gate(ordinal: int, label: str, qubits: tuple[QubitId, ...]) -> Gate:
+    """A Gate read from already-checked columns, without re-running its checks."""
+    gate = object.__new__(Gate)
+    gate.__dict__.update(ordinal=ordinal, label=label, qubits=qubits)
+    return gate
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Circuit:
-    """An ordered gate list over ``width`` qubits. Immutable once built.
+    """An ordered gate list over ``width`` qubits, stored as columns. Immutable.
+
+    ``labels[i]`` is the label of gate i, and row i of ``ends`` (read-only
+    int64, shape (G, 2)) holds its 0-based control, or -1 for a single-qubit
+    gate, and its target. ``gates``, one ``Gate`` per row, is built from the
+    columns on first use. ``Circuit(width, gates=...)`` and
+    ``Circuit.from_columns`` both check the columns once, with numpy.
+    Equality and hashing cover width, labels, ends and name.
 
     ``decomposed_mct`` records that multi-control gates were replaced by
     pairwise CNOTs on import; reports must surface that the circuit is an
@@ -61,88 +83,175 @@ class Circuit:
     """
 
     width: int
-    gates: tuple[Gate, ...] = ()
+    labels: tuple[str, ...]
+    ends: np.ndarray
     name: str = "circuit"
-    decomposed_mct: bool = field(default=False, compare=False)
+    decomposed_mct: bool = False
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, width: int, gates: Iterable[Gate] = (), name: str = "circuit",
+                 decomposed_mct: bool = False):
+        gates = tuple(gates)
+        ordinals = np.fromiter((g.ordinal for g in gates), np.int64, count=len(gates))
+        ends = [(-1, *g.qubits) if len(g.qubits) == 1 else g.qubits for g in gates]
+        self._set_columns(width, tuple(g.label for g in gates), ends, name, decomposed_mct,
+                          ordinals)
+        self.__dict__["gates"] = gates
+
+    @classmethod
+    def from_columns(cls, width: int, labels: Iterable[str], ends, name: str = "circuit",
+                     decomposed_mct: bool = False) -> Circuit:
+        """A circuit from its gate labels and its (G, 2) ``ends`` rows, in gate order."""
+        circuit = object.__new__(cls)
+        circuit._set_columns(width, tuple(labels), ends, name, decomposed_mct)
+        return circuit
+
+    def _set_columns(self, width, labels, ends, name, decomposed_mct, ordinals=None) -> None:
+        """Check and store the columns; the first bad gate is reported, its
+        ordinal before its control before its target."""
+        if width < 1:
             raise ValueError("circuit width must be >= 1")
-        for i, g in enumerate(self.gates):
-            if g.ordinal != i:
-                raise ValueError(f"gate ordinals must be consecutive from 0, got {g.ordinal} at position {i}")
-            for q in g.qubits:
-                if not 0 <= q < self.width:
-                    raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {self.width}")
+        ends = np.array(ends, dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.shape != (len(labels), 2):
+            raise ValueError(f"ends has shape {ends.shape}; expected ({len(labels)}, 2)")
+        c, t = ends[:, 0], ends[:, 1]
+        bad_c = (c < -1) | (c >= width)  # -1 marks a single-qubit gate
+        bad_t = (t < 0) | (t >= width)
+        position = np.arange(len(labels))
+        ordinals = position if ordinals is None else ordinals
+        bad = (ordinals != position) | bad_c | bad_t | (c == t)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if ordinals[i] != i:
+                raise ValueError(
+                    f"gate ordinals must be consecutive from 0, got {ordinals[i]} at position {i}")
+            if bad_c[i] or bad_t[i]:
+                q = c[i] if bad_c[i] else t[i]
+                raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {width}")
+            raise ValueError(f"gate g{i + 1}: control equals target")
+        ends.setflags(write=False)
+        for key, value in (("width", width), ("labels", labels), ("ends", ends),
+                           ("name", name), ("decomposed_mct", decomposed_mct)):
+            object.__setattr__(self, key, value)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """One Gate per row of the columns, in gate order."""
+        return tuple(_unchecked_gate(i, label, (t,) if c < 0 else (c, t))
+                     for i, (label, (c, t)) in enumerate(zip(self.labels, self.ends.tolist())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.width, self.labels, self.name) == (other.width, other.labels, other.name)
+                and np.array_equal(self.ends, other.ends))
+
+    def __hash__(self):
+        return hash((self.width, self.labels, self.ends.tobytes(), self.name))
 
     @property
     def size(self) -> int:
-        return len(self.gates)
+        return len(self.labels)
 
     @property
     def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
+        return int(np.count_nonzero(self.ends[:, 0] >= 0))
 
 
-def _make_gates(specs: list[tuple[str, tuple[int, ...]]]) -> tuple[Gate, ...]:
-    return tuple(Gate(i, label, qubits) for i, (label, qubits) in enumerate(specs))
+def _header_width(tokens: list[str], lineno: int) -> int:
+    """The qubit count a ``qubits <n>`` header line declares."""
+    if tokens[0].lower() != "qubits":
+        raise CircuitSyntaxError("expected 'qubits <n>' header before any gate", lineno)
+    if len(tokens) != 2:
+        raise CircuitSyntaxError("header must be exactly 'qubits <n>'", lineno)
+    try:
+        width = int(tokens[1])
+    except ValueError:
+        raise CircuitSyntaxError(f"qubit count {tokens[1]!r} is not an integer", lineno) from None
+    if width < 1:
+        raise CircuitSyntaxError("qubit count must be >= 1", lineno)
+    return width
+
+
+def _gate_line_error(tokens: list[str], width: int) -> str | None:
+    """The message of the first check a gate line fails, or None for a good
+    line. Checks run in this order: a repeated header, the operand count,
+    each operand in turn (an integer, then in 1..width), control vs target."""
+    label, operands = tokens[0], tokens[1:]
+    if label.lower() == "qubits":
+        return "duplicate 'qubits' header"
+    if len(operands) not in (1, 2):
+        return f"gate {label!r} has {len(operands)} operands; expected 1 or 2"
+    for tok in operands:
+        try:
+            q = int(tok)
+        except ValueError:
+            return f"operand {tok!r} is not an integer"
+        if not 1 <= q <= width:
+            return f"qubit index {q} outside declared range 1..{width}"
+    if len(operands) == 2 and int(operands[0]) == int(operands[1]):
+        return "control and target must differ"
+    return None
+
+
+def _int_or_zero(tok: str) -> int:
+    """``int(tok)``, or 0 (never a 1-based qubit) if that fails or overflows int64."""
+    try:
+        q = int(tok)
+    except ValueError:
+        return 0
+    return q if abs(q) < 1 << 63 else 0
 
 
 def parse_circuit(text: str, name: str = "circuit") -> Circuit:
     """Parse ``.qc`` text into a Circuit. Gate order equals line order.
 
-    Raises CircuitSyntaxError with a 1-based line number on malformed input,
-    an out-of-range qubit index, a missing ``qubits`` header, or a two-qubit
-    gate whose control equals its target.
+    The text is tokenized in one pass and the gate lines are checked
+    together over arrays, with no per-gate objects. Raises
+    CircuitSyntaxError with a 1-based line number on malformed input, an
+    out-of-range qubit index, a missing ``qubits`` header, or a two-qubit
+    gate whose control equals its target; when several lines are bad, the
+    first one in line order is reported, for the first check it fails.
     """
-    width = None
-    specs: list[tuple[str, tuple[int, ...]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if width is None:
-            if tokens[0].lower() != "qubits":
-                raise CircuitSyntaxError("expected 'qubits <n>' header before any gate", lineno)
-            if len(tokens) != 2:
-                raise CircuitSyntaxError("header must be exactly 'qubits <n>'", lineno)
-            try:
-                width = int(tokens[1])
-            except ValueError:
-                raise CircuitSyntaxError(f"qubit count {tokens[1]!r} is not an integer", lineno) from None
-            if width < 1:
-                raise CircuitSyntaxError("qubit count must be >= 1", lineno)
-            continue
-        label, operands = tokens[0], tokens[1:]
-        if label.lower() == "qubits":
-            raise CircuitSyntaxError("duplicate 'qubits' header", lineno)
-        if len(operands) not in (1, 2):
-            raise CircuitSyntaxError(
-                f"gate {label!r} has {len(operands)} operands; expected 1 or 2", lineno
-            )
-        qubits = []
-        for tok in operands:
-            try:
-                q = int(tok)
-            except ValueError:
-                raise CircuitSyntaxError(f"operand {tok!r} is not an integer", lineno) from None
-            if not 1 <= q <= width:
-                raise CircuitSyntaxError(f"qubit index {q} outside declared range 1..{width}", lineno)
-            qubits.append(q - 1)
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise CircuitSyntaxError("control and target must differ", lineno)
-        specs.append((label, tuple(qubits)))
-    if width is None:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))  # the significant lines' tokens
+    if not rows:
         raise CircuitSyntaxError("missing 'qubits <n>' header")
-    return Circuit(width=width, gates=_make_gates(specs), name=name)
+    header_line = next(n for n, line in enumerate(lines, 1) if line.split())
+    width = _header_width(rows[0], header_line)
+    body = rows[1:]
+    arity = np.fromiter(map(len, body), np.int64, count=len(body)) - 1
+    labels = tuple(map(itemgetter(0), body))
+    operands = list(chain.from_iterable(map(itemgetter(slice(1, None)), body)))
+    try:
+        q = np.fromiter(map(int, operands), np.int64, count=len(operands))
+    except (ValueError, OverflowError):
+        q = np.fromiter(map(_int_or_zero, operands), np.int64, count=len(operands))
+    q = np.append(q, (0, 0))  # a line without operands reads zeros; arity flags it
+    start = np.cumsum(arity) - arity  # each line's first operand in q
+    first, second = q[start], q[start + 1]
+    two = arity == 2
+    bad = ((arity < 1) | (arity > 2) | (first < 1) | (first > width)
+           | two & ((second < 1) | (second > width) | (first == second)))
+    headers = {label for label in set(labels) if label.lower() == "qubits"}
+    if headers:
+        bad |= np.fromiter((label in headers for label in labels), bool, count=len(labels))
+    if bad.any():
+        i = int(np.argmax(bad))
+        linenos = [n for n, tokens in enumerate(map(str.split, lines), 1) if tokens]
+        raise CircuitSyntaxError(_gate_line_error(body[i], width), linenos[i + 1])
+    ends = np.stack([np.where(two, first, 0), np.where(two, second, first)], axis=1) - 1
+    return Circuit.from_columns(width, labels, ends, name)
 
 
 def render_circuit(circuit: Circuit) -> str:
     """Render a Circuit back to canonical ``.qc`` text (1-based indices)."""
     lines = [f"qubits {circuit.width}"]
-    for g in circuit.gates:
-        lines.append(" ".join([g.label] + [str(q + 1) for q in g.qubits]))
+    for label, (c, t) in zip(circuit.labels, circuit.ends.tolist()):
+        lines.append(f"{label} {t + 1}" if c < 0 else f"{label} {c + 1} {t + 1}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,10 +264,12 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
     which case each one becomes one CNOT per (control, target) pair. That
     replacement keeps the qubit-interaction structure but is not a unitary
     equivalence, so the resulting Circuit carries ``decomposed_mct=True``.
+    ``.numvars`` may appear only once.
     """
     width = None
     var_index: dict[str, int] = {}
-    specs: list[tuple[str, tuple[int, ...]]] = []
+    labels: list[str] = []
+    ends: list[tuple[int, int]] = []  # (control or -1, target), as in Circuit.ends
     in_body = False
     decomposed = False
 
@@ -175,6 +286,8 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
         head = tokens[0].lower()
         if head.startswith("."):
             if head == ".numvars":
+                if width is not None:
+                    raise CircuitSyntaxError("duplicate .numvars", lineno)
                 if len(tokens) != 2:
                     raise CircuitSyntaxError(".numvars expects one integer", lineno)
                 try:
@@ -214,11 +327,13 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                     f"gate {head!r} expects {arity} operands, got {len(operands)}", lineno
                 )
             if arity == 1:
-                specs.append(("not", (operands[0],)))
+                labels.append("not")
+                ends.append((-1, operands[0]))
             elif arity == 2:
                 if operands[0] == operands[1]:
                     raise CircuitSyntaxError("control and target must differ", lineno)
-                specs.append(("cnot", (operands[0], operands[1])))
+                labels.append("cnot")
+                ends.append((operands[0], operands[1]))
             else:
                 if not decompose_mct:
                     raise UnsupportedGateError(
@@ -228,17 +343,19 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                 for c in controls:
                     if c == target:
                         raise CircuitSyntaxError("control and target must differ", lineno)
-                    specs.append(("cnot", (c, target)))
+                    labels.append("cnot")
+                    ends.append((c, target))
                 decomposed = True
         elif len(operands) == 1:
-            specs.append((head, (operands[0],)))
+            labels.append(head)
+            ends.append((-1, operands[0]))
         else:
             raise UnsupportedGateError(
                 f"gate {head!r} with {len(operands)} operands is not in the supported subset", lineno
             )
     if width is None:
         raise CircuitSyntaxError("missing .numvars header")
-    return Circuit(width=width, gates=_make_gates(specs), name=name, decomposed_mct=decomposed)
+    return Circuit.from_columns(width, labels, ends, name, decomposed)
 
 
 def gen_qft(n: int, name: str | None = None) -> Circuit:
@@ -250,12 +367,15 @@ def gen_qft(n: int, name: str | None = None) -> Circuit:
     """
     if n < 1:
         raise ValueError("qft size must be >= 1")
-    specs: list[tuple[str, tuple[int, ...]]] = []
+    labels: list[str] = []
+    ends: list[tuple[int, int]] = []
     for i in range(n):
-        specs.append(("h", (i,)))
+        labels.append("h")
+        ends.append((-1, i))
         for j in range(i + 1, n):
-            specs.append((f"r{j - i + 1}", (j, i)))
-    return Circuit(width=n, gates=_make_gates(specs), name=name or f"qft{n}")
+            labels.append(f"r{j - i + 1}")
+            ends.append((j, i))
+    return Circuit.from_columns(n, labels, ends, name or f"qft{n}")
 
 
 GENERATORS = {"qft": gen_qft}

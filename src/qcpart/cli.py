@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -415,7 +416,9 @@ def _add_io_args(p: argparse.ArgumentParser, single: bool) -> None:
                    help="omit wall-clock fields for byte-stable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcpart",
         description="Exact minimum-teleportation partitioning of quantum circuits.",

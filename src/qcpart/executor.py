@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .circuit import Circuit
 from .partitioner import PartitionAssignment, PartitionResult
 
@@ -18,7 +20,7 @@ LOCAL = "local"
 GLOBAL = "global"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     gate_ordinal: int
     rendering: str
@@ -45,34 +47,32 @@ def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
     """One entry per gate in execution order, with a running teleport count.
 
     Single-qubit gates are always local; the total number of global entries
-    equals the inter-part weight of the assignment.
+    equals the inter-part weight of the assignment. Every gate is classified
+    at once over the circuit's ``ends`` columns; only the renderings are
+    formatted gate by gate.
     """
     if assignment.n != circuit.width:
         raise ValueError(
             f"assignment covers {assignment.n} qubits, circuit has {circuit.width}"
         )
-    part = assignment.part_labels()
+    part = np.asarray(assignment.part_labels(), dtype=np.int64)
+    c, t = circuit.ends[:, 0], circuit.ends[:, 1]
+    two = c >= 0
+    pt = part[t]
+    pc = np.where(two, part[c], pt)  # a single-qubit gate's one part
+    is_global = pc != pt
+    teleports = np.cumsum(is_global)
     entries = []
-    teleports = 0
-    for g in circuit.gates:
-        label = g.label.upper()
-        if not g.is_two_qubit:
-            t = g.target
-            entries.append(TraceEntry(
-                g.ordinal, f"{label}(q{t + 1},p{part[t]})", LOCAL,
-                (part[t],), teleports,
-            ))
-            continue
-        c, t = g.qubits
-        pc, pt = part[c], part[t]
-        if pc == pt:
-            rendering = f"{label}(q{c + 1},q{t + 1},p{pc})"
-            kind = LOCAL
+    for i, (label, qc, qt, pci, pti, g, n) in enumerate(zip(
+            map(str.upper, circuit.labels), (c + 1).tolist(), (t + 1).tolist(),
+            pc.tolist(), pt.tolist(), is_global.tolist(), teleports.tolist())):
+        if g:
+            entries.append(TraceEntry(i, f"{label}(q{qc},p{pci},q{qt},p{pti})", GLOBAL,
+                                      (pci, pti) if pci < pti else (pti, pci), n))
+        elif qc:  # 1-based control; 0 for a single-qubit gate
+            entries.append(TraceEntry(i, f"{label}(q{qc},q{qt},p{pci})", LOCAL, (pci,), n))
         else:
-            rendering = f"{label}(q{c + 1},p{pc},q{t + 1},p{pt})"
-            kind = GLOBAL
-            teleports += 1
-        entries.append(TraceEntry(g.ordinal, rendering, kind, tuple(sorted({pc, pt})), teleports))
+            entries.append(TraceEntry(i, f"{label}(q{qt},p{pti})", LOCAL, (pti,), n))
     return tuple(entries)
 
 

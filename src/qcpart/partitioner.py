@@ -234,27 +234,11 @@ class PartitionResult:
         return self.max_part_size is not None
 
 
-def connect(s1: QubitSubset, s2: QubitSubset, w: WeightMatrix) -> int:
-    """Number of two-qubit gates with one endpoint in each disjoint mask."""
-    if s1 & s2:
-        raise ValueError("qubit subsets overlap")
-    total = 0
-    m = w.m
-    for i in subset_qubits(s1):
-        row = m[i]
-        for j in subset_qubits(s2):
-            total += int(row[j])
-    return total
-
-
 def assignment_cost(assignment: PartitionAssignment, w: WeightMatrix) -> int:
-    """Total inter-part weight of an assignment, summed over part pairs."""
-    total = 0
-    parts = assignment.parts
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            total += connect(parts[i], parts[j], w)
-    return total
+    """Total inter-part weight of an assignment: the weight of every qubit
+    pair whose two qubits lie in different parts, each pair counted once."""
+    part = np.asarray(assignment.part_labels())
+    return int(w.m[part[:, None] != part].sum()) // 2
 
 
 def check_width(n: int, cap: int | None = None) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcpart import Circuit, Gate, parse_circuit, qc_to_bigraph, weight_matrix
+from qcpart import Circuit, Gate, parse_circuit, qc_to_bigraph, subset_qubits, weight_matrix
 
 # 3 qubits, 3 CNOTs: pairs (q1,q3) x2, (q2,q3) x1
 SAMPLE3 = """qubits 3
@@ -81,3 +81,11 @@ def build_random_circuit(rng: np.random.Generator, n: int, n_gates: int,
 @pytest.fixture
 def make_random_circuit():
     return build_random_circuit
+
+
+def connect(s1: int, s2: int, w) -> int:
+    """Number of two-qubit gates with one endpoint in each of two disjoint
+    qubit masks, summed pair by pair: the tests' crossing count."""
+    if s1 & s2:
+        raise ValueError("qubit subsets overlap")
+    return sum(w[i, j] for i in subset_qubits(s1) for j in subset_qubits(s2))

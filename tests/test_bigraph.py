@@ -35,7 +35,10 @@ def test_empty_circuit_graph():
 def test_single_qubit_gate_degree():
     g = qc_to_bigraph(parse_circuit("qubits 2\nh 1"))
     assert g.edges == ((0, 0),)
-    assert g.gate_endpoints() == [(0,)]
+    assert g.pairs.shape == (0, 2)  # a degree-1 gate vertex joins no qubit pair
+    g = qc_to_bigraph(parse_circuit("qubits 3\nh 3\ncnot 3 1\nx 2\ncnot 1 2"))
+    assert g.edges == ((0, 2), (1, 2), (1, 0), (2, 1), (3, 0), (3, 1))
+    assert g.pairs.tolist() == [[2, 0], [0, 1]]
 
 
 def test_conversion_is_deterministic():

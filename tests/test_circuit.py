@@ -190,6 +190,16 @@ def test_import_real_rejects_duplicate_variables():
         import_real(".numvars 3\n.variables a a b\nt2 a b\n")
 
 
+def test_import_real_rejects_duplicate_numvars():
+    # a second .numvars used to shrink the width under the declared variables
+    text = ".numvars 3\n.variables a b c\n.numvars 2\nt2 a c\n"
+    with pytest.raises(CircuitSyntaxError, match=r"line 3: duplicate \.numvars") as exc:
+        import_real(text)
+    assert exc.value.line == 3
+    with pytest.raises(CircuitSyntaxError, match="duplicate .numvars"):
+        import_real(".numvars 2\n.numvars 2\n.variables a b\nt2 a b\n")
+
+
 def test_import_real_stops_at_end_and_ignores_directives():
     text = (".version 1.0\n.numvars 2\n.variables a b\n.inputs a b\n"
             ".begin\nt2 a b\n.end\nt2 b a\n")

@@ -180,6 +180,9 @@ def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
     # a label json.dumps must escape: non-ASCII, quote, backslash
     (tmp_path / "labels.qc").write_text('qubits 3\ncnot 1 2\n\u00e9"\\x 2 3\nh\u00e9\\t 3\n',
                                         encoding="utf-8")
+    (tmp_path / "crlf.qc").write_bytes(
+        b"# comment line\r\nqubits 4\r\n\r\nfoo 1 3  # inline\r\nh 2\r\nbar 4\r\ncnot 3 4\r\n"
+        b"   # indented comment\r\nzz 2 1\r\nrx 3\r\ncnot 1 2\r\nmeasure 4\r\n")
     monkeypatch.chdir(tmp_path)
     base = ["partition", "--circuit", "sample4h.qc", "--trace", "--table", "--no-timing"]
     cases = [
@@ -199,11 +202,37 @@ def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
         (["partition", "--circuit", "labels.qc", "--parts", "2", "--format", "json", "--trace",
           "--table", "--no-timing"],
          "dfccedc00ca49892f741ebb190be721e679d5c2b8d22d867fd927c0c129f7fc2"),
+        # CRLF line ends, comments, blank lines, unknown labels, single-qubit gates
+        (["partition", "--circuit", "crlf.qc", "--parts", "2", "--trace", "--no-timing"],
+         "b5f1856a17f8ec075f3c57abc97d7caed6ab6767494dee0214f4cbf9b9b39e3f"),
+        (["partition", "--circuit", "crlf.qc", "--parts", "2", "--trace", "--format", "json",
+          "--no-timing"],
+         "8a0ac8ae177087effd6174be9c267071c82bda311be2f79fe4ded2581cd29758"),
     ]
     for argv, digest in cases:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_main_reuses_parser_without_leaking_state(capsys, sample4):
+    runs = [
+        ["partition", "--circuit", sample4, "--parts", "2", "--trace", "--table", "--no-timing"],
+        ["partition", "--circuit", sample4, "--parts", "2", "--no-timing"],
+        ["partition", "--circuit", sample4, "--parts", "3", "--format", "json", "--no-timing"],
+        ["oracle", "--circuit", sample4, "--parts", "2", "--compare-dp", "--no-timing"],
+        ["partition", "--circuit", sample4, "--parts", "2", "--no-timing"],
+    ]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):  # an argparse error between runs leaves nothing behind
+        main(["partition", "--circuit", sample4, "--parts", "2", "--no-such-flag"])
+    capsys.readouterr()
+    assert [run_cli(capsys, *argv) for argv in runs] == fresh
+    assert "Gate_name" in fresh[0][1] and "Gate_name" not in fresh[1][1]
 
 
 # --- exit codes -----------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Every declared runtime dependency imports, and every exported name resolves."""
+"""Every declared runtime dependency imports, every exported name resolves,
+and no production check is an ``assert``."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 
 import qcpart
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_runtime_dependencies_import():
@@ -24,3 +27,12 @@ def test_public_names_resolve():
     assert len(set(qcpart.__all__)) == len(qcpart.__all__)
     for name in qcpart.__all__:
         assert getattr(qcpart, name, None) is not None, name
+
+
+def test_no_assert_statements_in_package():
+    # ``python -O`` strips assert statements, so no check in the package may rely on one
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "qcpart").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

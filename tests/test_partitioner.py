@@ -12,7 +12,6 @@ from qcpart import (
     SizeCapError,
     WeightMatrix,
     assignment_cost,
-    connect,
     dp_partition,
     dp_table,
     format_subset,
@@ -25,7 +24,7 @@ from qcpart import (
 )
 from qcpart import partitioner
 from qcpart.partitioner import _rgs_table
-from conftest import build_random_circuit
+from conftest import build_random_circuit, connect
 
 
 def wmat(circuit):
@@ -46,20 +45,33 @@ def test_subset_helpers():
     assert format_subset(0b1) == "{1}"
 
 
-# --- connect -----------------------------------------------------------------
+# --- connect (the tests' crossing count) and assignment_cost --------------------
+
+def two_way_cost(s, w4):
+    return assignment_cost(PartitionAssignment.from_parts(4, [s, 0b1111 ^ s]), w4)
+
 
 def test_connect_singleton_expansions(w4):
     rest = lambda s: 0b1111 ^ s
-    assert connect(0b0001, rest(0b0001), w4) == 2
-    assert connect(0b0010, rest(0b0010), w4) == 3
-    assert connect(0b0100, rest(0b0100), w4) == 6
-    assert connect(0b1000, rest(0b1000), w4) == 3
+    for s, crossing in ((0b0001, 2), (0b0010, 3), (0b0100, 6), (0b1000, 3)):
+        assert connect(s, rest(s), w4) == crossing == two_way_cost(s, w4)
 
 
 def test_connect_pair_expansions(w4):
-    assert connect(0b0011, 0b1100, w4) == 3
-    assert connect(0b0101, 0b1010, w4) == 6
-    assert connect(0b1001, 0b0110, w4) == 5
+    for s, crossing in ((0b0011, 3), (0b0101, 6), (0b1001, 5)):
+        assert connect(s, 0b1111 ^ s, w4) == crossing == two_way_cost(s, w4)
+
+
+def test_assignment_cost_sums_part_pairs():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 40))))
+        labels = rng.integers(0, 4, size=n)
+        a = PartitionAssignment.from_labels(labels)
+        pairs = sum(connect(a.parts[i], a.parts[j], w)
+                    for i in range(a.k) for j in range(i + 1, a.k))
+        assert assignment_cost(a, w) == pairs
 
 
 def test_connect_empty_and_overlap(w4):
