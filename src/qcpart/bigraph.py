@@ -1,17 +1,16 @@
 """Bipartite qubit/gate graph and the pairwise qubit-interaction weight matrix.
 
-The graph has one x-vertex per qubit and one y-vertex per gate; a gate is
-joined to every qubit it acts on, so single-qubit gates have degree 1 and
-two-qubit gates degree 2. The weight matrix compresses the graph for cost
-computation: entry (i, j) counts the two-qubit gates on the unordered pair
-{qi, qj}. Repeated identical gates stay distinct y-vertices, which makes the
-qubit-pair view an integer-weighted multigraph.
+The graph has one x-vertex per qubit and one y-vertex per gate, each gate
+joined to the qubits it acts on. A circuit's ``ends`` columns already are
+that graph, so ``BipartiteGraph`` is a read-only view of ``Circuit.ends`` and
+``Circuit`` is the one place that checks the incidence. The weight matrix
+compresses the graph for cost computation: entry (i, j) counts the two-qubit
+gates on the unordered pair {qi, qj}; repeated identical gates stay distinct
+y-vertices, which makes the qubit-pair view an integer-weighted multigraph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -19,47 +18,51 @@ import numpy as np
 from .circuit import Circuit
 
 
-@dataclass(frozen=True)
 class BipartiteGraph:
-    """Incidence structure: edges are (gate ordinal, qubit) pairs in gate order.
+    """The incidence of a circuit: ``ends`` is the circuit's own read-only
+    (G, 2) array of (control or -1, target) rows, shared, not copied.
 
-    ``pairs`` (derived, read-only) holds the (first, second) qubit of every
-    degree-2 gate vertex, in gate order, as an int64 array of shape (P, 2).
+    ``edges`` are the (gate ordinal, qubit) pairs in gate order, control
+    before target; ``pairs`` are the (control, target) rows of the two-qubit
+    gates, int64 of shape (P, 2). Both are built when read. Two graphs are
+    equal when their qubit counts and ``ends`` are.
     """
 
-    num_qubits: int
-    num_gates: int
-    edges: tuple[tuple[int, int], ...]
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("num_qubits", "ends")
 
-    def __post_init__(self):
-        ends = np.fromiter(chain.from_iterable(self.edges), np.int64,
-                           count=2 * len(self.edges)).reshape(-1, 2)
-        g, q = ends[:, 0], ends[:, 1]
-        bad_gate = (g < 0) | (g >= self.num_gates)
-        bad = bad_gate | (q < 0) | (q >= self.num_qubits)
-        if bad.any():
-            i = int(np.argmax(bad))  # the first bad edge; its gate is checked first
-            if bad_gate[i]:
-                raise ValueError(f"edge references unknown gate vertex {g[i]}")
-            raise ValueError(f"edge references unknown qubit vertex {q[i]}")
-        degree = np.bincount(g, minlength=self.num_gates)
-        bad = np.flatnonzero((degree < 1) | (degree > 2)).tolist()
-        if bad:
-            raise ValueError(f"gate vertices with degree outside 1..2: {bad}")
-        order = np.argsort(g, kind="stable")  # a gate's edges become adjacent
-        g, q = g[order], q[order]
-        pairs = q[degree[g] == 2].reshape(-1, 2)
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-        if loops.size:
-            gate = int(np.flatnonzero(degree == 2)[loops[0]])
-            raise ValueError(f"gate vertex {gate} joins qubit {pairs[loops[0], 0]} twice")
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, circuit: Circuit):
+        object.__setattr__(self, "num_qubits", circuit.width)
+        object.__setattr__(self, "ends", circuit.ends)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BipartiteGraph is read-only; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_qubits == other.num_qubits and np.array_equal(self.ends, other.ends)
+
+    def __hash__(self):
+        return hash((self.num_qubits, self.ends.tobytes()))
+
+    @property
+    def num_gates(self) -> int:
+        return len(self.ends)
 
     @property
     def num_vertices(self) -> int:
         return self.num_qubits + self.num_gates
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        ends = self.ends.ravel()
+        touched = ends >= 0  # drops the -1 control of single-qubit gates
+        gate = np.repeat(np.arange(self.num_gates), 2)[touched]
+        return tuple(zip(gate.tolist(), ends[touched].tolist()))
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return self.ends[self.ends[:, 0] >= 0]
 
 
 class WeightMatrix:
@@ -107,20 +110,15 @@ class WeightMatrix:
 
 
 def qc_to_bigraph(circuit: Circuit) -> BipartiteGraph:
-    """Convert a circuit to its bipartite graph, one edge per (gate, qubit)
-    incidence, added gate by gate from left to right (control before target)."""
-    ends = circuit.ends.ravel()
-    touched = ends >= 0  # drops the -1 control of single-qubit gates
-    gate = np.repeat(np.arange(circuit.size), 2)[touched]
-    return BipartiteGraph(circuit.width, circuit.size,
-                          tuple(zip(gate.tolist(), ends[touched].tolist())))
+    """The circuit's bipartite graph, sharing its ``ends`` columns."""
+    return BipartiteGraph(circuit)
 
 
 def weight_matrix(graph: BipartiteGraph) -> WeightMatrix:
     """Pairwise interaction counts: each degree-2 gate vertex adds 1 to its
     qubit pair; degree-1 vertices contribute nothing."""
     n = graph.num_qubits
-    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    a, b = graph.pairs.T
     m = np.bincount(a * n + b, minlength=n * n).reshape(n, n)
     return WeightMatrix(m + m.T)
 
@@ -130,10 +128,10 @@ def bigraph_to_dot(graph: BipartiteGraph, name: str = "bigraph") -> str:
     lines = [f'graph "{name}" {{', "  rankdir=BT;"]
     qnames = [f"q{i + 1}" for i in range(graph.num_qubits)]
     gnames = [f"g{i + 1}" for i in range(graph.num_gates)]
-    lines.append("  { rank=same; " + "; ".join(qnames) + "; }" if qnames else "")
+    lines.append("  { rank=same; " + "; ".join(qnames) + "; }")
     if gnames:
         lines.append("  { rank=same; " + "; ".join(gnames) + "; }")
     for g, q in graph.edges:
         lines.append(f"  {gnames[g]} -- {qnames[q]};")
     lines.append("}")
-    return "\n".join(line for line in lines if line) + "\n"
+    return "\n".join(lines) + "\n"

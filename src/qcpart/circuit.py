@@ -110,7 +110,10 @@ class Circuit:
         ordinal before its control before its target."""
         if width < 1:
             raise ValueError("circuit width must be >= 1")
-        ends = np.array(ends, dtype=np.int64)
+        src = np.asarray(ends)
+        ends = np.array(src, dtype=np.int64)
+        if (ends != src).any():  # the int64 copy truncated a fraction
+            raise ValueError("qubit indices must be integers")
         if ends.size == 0:
             ends = ends.reshape(0, 2)
         if ends.shape != (len(labels), 2):
@@ -264,13 +267,12 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
     which case each one becomes one CNOT per (control, target) pair. That
     replacement keeps the qubit-interaction structure but is not a unitary
     equivalence, so the resulting Circuit carries ``decomposed_mct=True``.
-    ``.numvars`` may appear only once.
+    ``.numvars`` and ``.variables`` may each appear only once.
     """
     width = None
     var_index: dict[str, int] = {}
     labels: list[str] = []
     ends: list[tuple[int, int]] = []  # (control or -1, target), as in Circuit.ends
-    in_body = False
     decomposed = False
 
     def resolve(tok: str, lineno: int) -> int:
@@ -297,6 +299,8 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                 if width < 1:
                     raise CircuitSyntaxError(".numvars must be >= 1", lineno)
             elif head == ".variables":
+                if var_index:
+                    raise CircuitSyntaxError("duplicate .variables", lineno)
                 if width is None:
                     raise CircuitSyntaxError(".variables before .numvars", lineno)
                 if len(tokens) - 1 != width:
@@ -307,21 +311,18 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                     if v in var_index:
                         raise CircuitSyntaxError(f"variable {v!r} is already defined", lineno)
                     var_index[v] = i
-            elif head == ".begin":
-                in_body = True
             elif head == ".end":
                 break
-            # other directives (.inputs, .outputs, .constants, ...) carry no
-            # structure we use
+            # other directives (.begin, which some files omit, .inputs,
+            # .outputs, .constants, ...) carry no structure we use
             continue
         if width is None or not var_index:
             raise CircuitSyntaxError("gate line before .numvars/.variables header", lineno)
-        if not in_body:
-            # some files omit .begin; treat the first gate line as the body
-            in_body = True
         operands = [resolve(t, lineno) for t in tokens[1:]]
-        if head.startswith("t") and head[1:].isdigit():
+        if head.startswith("t") and head[1:].isdecimal():
             arity = int(head[1:])
+            if arity < 1:
+                raise CircuitSyntaxError(f"gate {head!r} acts on no qubit; tK needs K >= 1", lineno)
             if arity != len(operands):
                 raise CircuitSyntaxError(
                     f"gate {head!r} expects {arity} operands, got {len(operands)}", lineno

@@ -3,9 +3,19 @@
 line at a time and builds one ``Gate`` per gate, and the trace that classifies
 one gate at a time. The columnar versions in ``src/`` must match them
 exactly, errors included.
+
+The edge-tuple bipartite graph is the reference for ``qcpart.bigraph``: the
+(gate, qubit) edge tuple built from a circuit, its qubit pairs recovered by a
+stable sort after checking every edge, its weights counted pair by pair, and
+its DOT text.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from qcpart import Circuit, Gate
 from qcpart.errors import CircuitSyntaxError
@@ -101,3 +111,71 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
     return tuple(entries)
 
 
+
+
+class ReferenceGraph(NamedTuple):
+    """Incidence structure: edges are (gate ordinal, qubit) pairs in gate order."""
+
+    num_qubits: int
+    num_gates: int
+    edges: tuple[tuple[int, int], ...]
+
+
+def reference_qc_to_bigraph(circuit: Circuit) -> ReferenceGraph:
+    """Convert a circuit to its bipartite graph, one edge per (gate, qubit)
+    incidence, added gate by gate from left to right (control before target)."""
+    ends = circuit.ends.ravel()
+    touched = ends >= 0  # drops the -1 control of single-qubit gates
+    gate = np.repeat(np.arange(circuit.size), 2)[touched]
+    return ReferenceGraph(circuit.width, circuit.size,
+                          tuple(zip(gate.tolist(), ends[touched].tolist())))
+
+
+def reference_pairs(graph: ReferenceGraph) -> np.ndarray:
+    """The (first, second) qubit of every degree-2 gate vertex, in gate order,
+    as an int64 array of shape (P, 2); raises ValueError on a bad edge."""
+    ends = np.fromiter(chain.from_iterable(graph.edges), np.int64,
+                       count=2 * len(graph.edges)).reshape(-1, 2)
+    g, q = ends[:, 0], ends[:, 1]
+    bad_gate = (g < 0) | (g >= graph.num_gates)
+    bad = bad_gate | (q < 0) | (q >= graph.num_qubits)
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad edge; its gate is checked first
+        if bad_gate[i]:
+            raise ValueError(f"edge references unknown gate vertex {g[i]}")
+        raise ValueError(f"edge references unknown qubit vertex {q[i]}")
+    degree = np.bincount(g, minlength=graph.num_gates)
+    bad = np.flatnonzero((degree < 1) | (degree > 2)).tolist()
+    if bad:
+        raise ValueError(f"gate vertices with degree outside 1..2: {bad}")
+    order = np.argsort(g, kind="stable")  # a gate's edges become adjacent
+    g, q = g[order], q[order]
+    pairs = q[degree[g] == 2].reshape(-1, 2)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        gate = int(np.flatnonzero(degree == 2)[loops[0]])
+        raise ValueError(f"gate vertex {gate} joins qubit {pairs[loops[0], 0]} twice")
+    return pairs
+
+
+def reference_weights(graph: ReferenceGraph) -> np.ndarray:
+    """The symmetric qubit-pair counts, one increment per degree-2 gate vertex."""
+    m = np.zeros((graph.num_qubits, graph.num_qubits), np.int64)
+    for a, b in reference_pairs(graph).tolist():
+        m[a, b] += 1
+        m[b, a] += 1
+    return m
+
+
+def reference_dot(graph: ReferenceGraph, name: str = "bigraph") -> str:
+    """DOT rendering with qubit and gate vertices in two ranks."""
+    lines = [f'graph "{name}" {{', "  rankdir=BT;"]
+    qnames = [f"q{i + 1}" for i in range(graph.num_qubits)]
+    gnames = [f"g{i + 1}" for i in range(graph.num_gates)]
+    lines.append("  { rank=same; " + "; ".join(qnames) + "; }" if qnames else "")
+    if gnames:
+        lines.append("  { rank=same; " + "; ".join(gnames) + "; }")
+    for g, q in graph.edges:
+        lines.append(f"  {gnames[g]} -- {qnames[q]};")
+    lines.append("}")
+    return "\n".join(line for line in lines if line) + "\n"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcpart import (
     BipartiteGraph,
+    Circuit,
+    Gate,
     PartitionAssignment,
     WeightMatrix,
     assignment_cost,
@@ -10,10 +13,12 @@ from qcpart import (
     gen_qft,
     parse_circuit,
     qc_to_bigraph,
+    render_circuit,
     trace_execution,
     weight_matrix,
 )
 from conftest import build_random_circuit
+from parse_reference import reference_dot, reference_pairs, reference_qc_to_bigraph, reference_weights
 
 
 def test_three_qubit_sample_edge_set(circ3):
@@ -46,27 +51,56 @@ def test_conversion_is_deterministic():
     assert qc_to_bigraph(parse_circuit(text)) == qc_to_bigraph(parse_circuit(text))
 
 
-def test_bipartite_graph_validation():
-    # the first bad edge is reported, its gate vertex before its qubit
-    with pytest.raises(ValueError, match="unknown qubit vertex 5"):
-        BipartiteGraph(2, 2, ((0, 5), (7, 0)))
-    with pytest.raises(ValueError, match="unknown gate vertex 7"):
-        BipartiteGraph(2, 2, ((7, 5), (0, 9)))
-    with pytest.raises(ValueError, match="unknown gate vertex -1"):
-        BipartiteGraph(2, 1, ((0, 0), (-1, 1)))
-    with pytest.raises(ValueError, match=r"degree outside 1\.\.2: \[1, 2\]"):
-        BipartiteGraph(3, 3, ((0, 0), (2, 0), (2, 1), (2, 2)))
-    with pytest.raises(ValueError, match="gate vertex 1 joins qubit 0 twice"):
-        BipartiteGraph(2, 3, ((0, 0), (0, 1), (1, 0), (2, 1), (1, 0)))
-    with pytest.raises(ValueError, match="gate vertex 0 joins qubit 0 twice"):
-        BipartiteGraph(2, 1, ((0, 0), (0, 0)))
+def test_graph_equality_is_width_and_ends():
+    text = "qubits 3\ncnot 1 2\nh 3\ncnot 2 3\n"
+    g = qc_to_bigraph(parse_circuit(text, name="a"))
+    relabeled = qc_to_bigraph(parse_circuit(text.replace("cnot", "cz").replace("h", "x"), "b"))
+    assert g == relabeled and hash(g) == hash(relabeled) and len({g, relabeled}) == 1
+    for changed in (text.replace("qubits 3", "qubits 4"), text.replace("cnot 2 3", "cnot 3 2"),
+                    text.replace("h 3", "h 2"), text.replace("h 3", "cnot 1 3")):
+        assert g != qc_to_bigraph(parse_circuit(changed))
+    assert g != parse_circuit(text)
 
 
-def test_weight_matrix_from_unordered_edges():
-    # edges need not be grouped by gate; each degree-2 vertex still adds one
-    g = BipartiteGraph(3, 3, ((1, 2), (0, 0), (2, 1), (1, 0), (0, 1)))
-    assert g.pairs.tolist() == [[0, 1], [2, 0]]
-    assert weight_matrix(g).m.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+def test_graph_is_a_read_only_view_of_the_circuit(circ4h):
+    g = BipartiteGraph(circ4h)
+    assert g.ends is circ4h.ends and not g.ends.flags.writeable
+    assert g == qc_to_bigraph(circ4h)
+    with pytest.raises(AttributeError):
+        g.num_qubits = 5
+
+
+@st.composite
+def circuits(draw):
+    """Circuits built from gates, from columns or by parsing; some have only
+    single-qubit gates, and any may have none."""
+    width = draw(st.integers(1, 10))
+    arities = (1,) if width == 1 or draw(st.booleans()) else (1, 2)
+    qubits = [tuple(draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k, unique=True)))
+              for k in draw(st.lists(st.sampled_from(arities), max_size=40))]
+    circuit = Circuit(width, gates=(Gate(i, "cnot" if len(q) == 2 else "h", q)
+                                    for i, q in enumerate(qubits)))
+    return draw(st.sampled_from([
+        circuit,
+        Circuit.from_columns(width, circuit.labels, circuit.ends.tolist()),
+        parse_circuit(render_circuit(circuit)),
+    ]))
+
+
+@given(circuits())
+@example(Circuit(1))
+@example(Circuit(3, gates=(Gate(0, "h", (2,)), Gate(1, "x", (0,)))))
+@settings(max_examples=200, deadline=None)
+def test_graph_matches_edge_tuple_reference(circuit):
+    graph = qc_to_bigraph(circuit)
+    ref = reference_qc_to_bigraph(circuit)
+    assert (graph.num_qubits, graph.num_gates, graph.edges) == ref
+    assert graph.num_vertices == ref.num_qubits + ref.num_gates
+    pairs = reference_pairs(ref)
+    assert graph.pairs.dtype == pairs.dtype and graph.pairs.shape == pairs.shape
+    assert (graph.pairs == pairs).all()
+    assert (weight_matrix(graph).m == reference_weights(ref)).all()
+    assert bigraph_to_dot(graph, circuit.name) == reference_dot(ref, circuit.name)
 
 
 def test_weight_matrix_four_qubit_sample(w4):

@@ -188,6 +188,11 @@ def test_import_real_header_errors():
 def test_import_real_rejects_duplicate_variables():
     with pytest.raises(CircuitSyntaxError, match=r"line 2: variable 'a' is already defined"):
         import_real(".numvars 3\n.variables a a b\nt2 a b\n")
+    # a second .variables line used to alias qubits: d, e and f renamed q1..q3
+    text = ".numvars 3\n.variables a b c\n.variables d e f\nt2 a e\n"
+    with pytest.raises(CircuitSyntaxError, match=r"line 3: duplicate \.variables") as exc:
+        import_real(text)
+    assert exc.value.line == 3
 
 
 def test_import_real_rejects_duplicate_numvars():
@@ -198,6 +203,17 @@ def test_import_real_rejects_duplicate_numvars():
     assert exc.value.line == 3
     with pytest.raises(CircuitSyntaxError, match="duplicate .numvars"):
         import_real(".numvars 2\n.numvars 2\n.variables a b\nt2 a b\n")
+
+
+def test_import_real_tk_heads():
+    # tK is a K-qubit Toffoli only for a decimal K >= 1
+    for decompose in (False, True):
+        for line in ("t0", "t0 a", "t00 a b"):
+            with pytest.raises(CircuitSyntaxError, match=r"line 4: gate 't0+' acts on no qubit"):
+                import_real(REAL_HEADER + line + "\n", decompose_mct=decompose)
+    c = import_real(REAL_HEADER + "t\u00b2 a\nt2 b c\n")  # superscript two is a plain label
+    assert c.labels == ("t\u00b2", "cnot")
+    assert c.ends.tolist() == [[-1, 0], [1, 2]]
 
 
 def test_import_real_stops_at_end_and_ignores_directives():

@@ -481,6 +481,22 @@ def test_real_import_with_decomposition(capsys, tmp_path):
     assert data["gate_count"] == 3
 
 
+def test_real_import_tk_heads(capsys, tmp_path):
+    real = tmp_path / "tk.real"
+    real.write_text(".numvars 2\n.variables a b\n.begin\nt0\n.end\n", encoding="utf-8")
+    for extra in ((), ("--decompose-mct",)):
+        code, out, err = run_cli(capsys, "partition", "--circuit", str(real), "--parts", "2",
+                                 *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: gate 't0' acts on no qubit; tK needs K >= 1\n"
+    real.write_text(".numvars 2\n.variables a b\n.begin\nt\u00b2 a\nt2 a b\n.end\n",
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "partition", "--circuit", str(real), "--parts", "2",
+                           "--format", "json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["gate_count"] == 2
+
+
 # --- process-level smoke ----------------------------------------------------------
 
 def test_module_entry_point(sample4):

@@ -152,3 +152,9 @@ def test_column_checks():
         Circuit(2, gates=(Gate(0, "h", (0,)), Gate(5, "cnot", (0, 3))))
     with pytest.raises(ValueError, match="gate g1 touches q4"):
         Circuit(2, gates=(Gate(0, "cnot", (3, 0)), Gate(5, "h", (0,))))
+    # the int64 copy of the columns must not truncate a fraction
+    with pytest.raises(ValueError, match="qubit indices must be integers"):
+        Circuit.from_columns(3, ["cnot"], [(0.5, 1.9)])
+    with pytest.raises(ValueError, match="qubit indices must be integers"):
+        Circuit(3, gates=(Gate(0, "cnot", (0.7, 2)),))
+    assert Circuit.from_columns(3, ["cnot"], [(0.0, 2.0)]).ends.tolist() == [[0, 2]]

@@ -36,3 +36,23 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_module_imports():
+    # a module-level import no code in its module reads is left over from a
+    # deletion; ``__init__.py`` is exempt because it re-exports
+    found = []
+    for path in sorted((ROOT / "src" / "qcpart").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert found == []
