@@ -16,8 +16,6 @@ from .bigraph import (
 )
 from .circuit import (
     Circuit,
-    Gate,
-    QubitId,
     gen_qft,
     import_real,
     parse_circuit,
@@ -63,7 +61,6 @@ __all__ = [
     "Circuit",
     "CircuitSyntaxError",
     "DpTable",
-    "Gate",
     "GLOBAL",
     "InfeasiblePartitionError",
     "LOCAL",
@@ -71,7 +68,6 @@ __all__ = [
     "PartitionAssignment",
     "PartitionResult",
     "QcpartError",
-    "QubitId",
     "QubitSubset",
     "SizeCapError",
     "TraceEntry",

@@ -74,7 +74,8 @@ class WeightMatrix:
 
     def __init__(self, m: np.ndarray):
         src = np.asarray(m)
-        m = np.array(src, dtype=np.int64, copy=True)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            m = np.array(src, dtype=np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("weight matrix must be square")
         if m.shape[0] < 1:
@@ -124,8 +125,10 @@ def weight_matrix(graph: BipartiteGraph) -> WeightMatrix:
 
 
 def bigraph_to_dot(graph: BipartiteGraph, name: str = "bigraph") -> str:
-    """DOT rendering with qubit and gate vertices in two ranks."""
-    lines = [f'graph "{name}" {{', "  rankdir=BT;"]
+    """DOT rendering with qubit and gate vertices in two ranks; ``\\`` and
+    ``"`` in ``name`` are escaped."""
+    quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{', "  rankdir=BT;"]
     qnames = [f"q{i + 1}" for i in range(graph.num_qubits)]
     gnames = [f"g{i + 1}" for i in range(graph.num_gates)]
     lines.append("  { rank=same; " + "; ".join(qnames) + "; }")

@@ -1,10 +1,10 @@
 """Columnar circuit model, plain-text parser, RevLib-style importer, generators.
 
-A Circuit stores its gates as columns (labels, and one (control, target) row
-per gate), so parsing, graph building and the trace run over arrays; Gate
-objects are made only when asked for. Qubits are 0-based ints internally;
-every file format and every report uses the 1-based numbering q1..qn, so the
-parser and renderer translate at the boundary.
+A Circuit is its gates' columns: a tuple of labels and one (control, target)
+row per gate, so parsing, graph building and the trace run over arrays with
+no per-gate objects. Qubits are 0-based ints internally; every file format
+and every report uses the 1-based numbering q1..qn, so the parser and
+renderer translate at the boundary.
 
 The canonical text format (``.qc``) is line-oriented:
 
@@ -19,63 +19,23 @@ number of operands matters downstream, so unknown labels are accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from operator import itemgetter
-from typing import Iterable
+from operator import index, itemgetter
 
 import numpy as np
 
 from .errors import CircuitSyntaxError, UnsupportedGateError
 
-QubitId = int
 
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate in execution order; ``qubits`` is (control, target) for
-    two-qubit gates and a 1-tuple for single-qubit gates."""
-
-    ordinal: int
-    label: str
-    qubits: tuple[QubitId, ...]
-
-    def __post_init__(self):
-        if len(self.qubits) not in (1, 2):
-            raise ValueError(f"gate g{self.ordinal + 1}: only 1- and 2-qubit gates are supported")
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError(f"gate g{self.ordinal + 1}: control equals target")
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
-
-    @property
-    def control(self) -> QubitId | None:
-        return self.qubits[0] if self.is_two_qubit else None
-
-    @property
-    def target(self) -> QubitId:
-        return self.qubits[-1]
-
-
-def _unchecked_gate(ordinal: int, label: str, qubits: tuple[QubitId, ...]) -> Gate:
-    """A Gate read from already-checked columns, without re-running its checks."""
-    gate = object.__new__(Gate)
-    gate.__dict__.update(ordinal=ordinal, label=label, qubits=qubits)
-    return gate
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """An ordered gate list over ``width`` qubits, stored as columns. Immutable.
 
     ``labels[i]`` is the label of gate i, and row i of ``ends`` (read-only
     int64, shape (G, 2)) holds its 0-based control, or -1 for a single-qubit
-    gate, and its target. ``gates``, one ``Gate`` per row, is built from the
-    columns on first use. ``Circuit(width, gates=...)`` and
-    ``Circuit.from_columns`` both check the columns once, with numpy.
-    Equality and hashing cover width, labels, ends and name.
+    gate, and its target. The constructor checks the columns once, with
+    numpy, and stores its own read-only copy of ``ends``. Equality and
+    hashing cover width, labels, ends and name.
 
     ``decomposed_mct`` records that multi-control gates were replaced by
     pairwise CNOTs on import; reports must surface that the circuit is an
@@ -83,35 +43,24 @@ class Circuit:
     """
 
     width: int
-    labels: tuple[str, ...]
-    ends: np.ndarray
+    labels: tuple[str, ...] = ()
+    ends: np.ndarray = ()
     name: str = "circuit"
     decomposed_mct: bool = False
 
-    def __init__(self, width: int, gates: Iterable[Gate] = (), name: str = "circuit",
-                 decomposed_mct: bool = False):
-        gates = tuple(gates)
-        ordinals = np.fromiter((g.ordinal for g in gates), np.int64, count=len(gates))
-        ends = [(-1, *g.qubits) if len(g.qubits) == 1 else g.qubits for g in gates]
-        self._set_columns(width, tuple(g.label for g in gates), ends, name, decomposed_mct,
-                          ordinals)
-        self.__dict__["gates"] = gates
-
-    @classmethod
-    def from_columns(cls, width: int, labels: Iterable[str], ends, name: str = "circuit",
-                     decomposed_mct: bool = False) -> Circuit:
-        """A circuit from its gate labels and its (G, 2) ``ends`` rows, in gate order."""
-        circuit = object.__new__(cls)
-        circuit._set_columns(width, tuple(labels), ends, name, decomposed_mct)
-        return circuit
-
-    def _set_columns(self, width, labels, ends, name, decomposed_mct, ordinals=None) -> None:
+    def __post_init__(self):
         """Check and store the columns; the first bad gate is reported, its
-        ordinal before its control before its target."""
+        control before its target."""
+        try:
+            width = index(self.width)
+        except TypeError:
+            raise ValueError("circuit width must be an integer") from None
         if width < 1:
             raise ValueError("circuit width must be >= 1")
-        src = np.asarray(ends)
-        ends = np.array(src, dtype=np.int64)
+        labels = tuple(self.labels)
+        src = np.asarray(self.ends)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            ends = np.array(src, dtype=np.int64)
         if (ends != src).any():  # the int64 copy truncated a fraction
             raise ValueError("qubit indices must be integers")
         if ends.size == 0:
@@ -121,28 +70,16 @@ class Circuit:
         c, t = ends[:, 0], ends[:, 1]
         bad_c = (c < -1) | (c >= width)  # -1 marks a single-qubit gate
         bad_t = (t < 0) | (t >= width)
-        position = np.arange(len(labels))
-        ordinals = position if ordinals is None else ordinals
-        bad = (ordinals != position) | bad_c | bad_t | (c == t)
+        bad = bad_c | bad_t | (c == t)
         if bad.any():
             i = int(np.argmax(bad))
-            if ordinals[i] != i:
-                raise ValueError(
-                    f"gate ordinals must be consecutive from 0, got {ordinals[i]} at position {i}")
             if bad_c[i] or bad_t[i]:
                 q = c[i] if bad_c[i] else t[i]
                 raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {width}")
             raise ValueError(f"gate g{i + 1}: control equals target")
         ends.setflags(write=False)
-        for key, value in (("width", width), ("labels", labels), ("ends", ends),
-                           ("name", name), ("decomposed_mct", decomposed_mct)):
+        for key, value in (("width", width), ("labels", labels), ("ends", ends)):
             object.__setattr__(self, key, value)
-
-    @cached_property
-    def gates(self) -> tuple[Gate, ...]:
-        """One Gate per row of the columns, in gate order."""
-        return tuple(_unchecked_gate(i, label, (t,) if c < 0 else (c, t))
-                     for i, (label, (c, t)) in enumerate(zip(self.labels, self.ends.tolist())))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -247,7 +184,7 @@ def parse_circuit(text: str, name: str = "circuit") -> Circuit:
         linenos = [n for n, tokens in enumerate(map(str.split, lines), 1) if tokens]
         raise CircuitSyntaxError(_gate_line_error(body[i], width), linenos[i + 1])
     ends = np.stack([np.where(two, first, 0), np.where(two, second, first)], axis=1) - 1
-    return Circuit.from_columns(width, labels, ends, name)
+    return Circuit(width, labels, ends, name)
 
 
 def render_circuit(circuit: Circuit) -> str:
@@ -356,7 +293,7 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
             )
     if width is None:
         raise CircuitSyntaxError("missing .numvars header")
-    return Circuit.from_columns(width, labels, ends, name, decomposed)
+    return Circuit(width, labels, ends, name, decomposed)
 
 
 def gen_qft(n: int, name: str | None = None) -> Circuit:
@@ -376,7 +313,7 @@ def gen_qft(n: int, name: str | None = None) -> Circuit:
         for j in range(i + 1, n):
             labels.append(f"r{j - i + 1}")
             ends.append((j, i))
-    return Circuit.from_columns(n, labels, ends, name or f"qft{n}")
+    return Circuit(n, labels, ends, name or f"qft{n}")
 
 
 GENERATORS = {"qft": gen_qft}

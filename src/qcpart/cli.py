@@ -26,13 +26,7 @@ from pathlib import Path
 from . import references
 from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
-from .errors import (
-    CircuitSyntaxError,
-    InfeasiblePartitionError,
-    QcpartError,
-    SizeCapError,
-    UnsupportedGateError,
-)
+from .errors import InfeasiblePartitionError, LineError, QcpartError, SizeCapError
 from .executor import (TraceEntry, compute_metrics, format_ratio, trace_execution,
                        trace_to_json, trace_to_text)
 from .partitioner import (
@@ -463,7 +457,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitSyntaxError, UnsupportedGateError) as exc:
+    except LineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeCapError as exc:

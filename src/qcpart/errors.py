@@ -7,8 +7,9 @@ class QcpartError(Exception):
     """Base class for all qcpart errors."""
 
 
-class CircuitSyntaxError(QcpartError):
-    """Malformed circuit text. ``line`` is 1-based when known."""
+class LineError(QcpartError):
+    """An error in circuit input text. ``line`` is 1-based when known and
+    then prefixes the message."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -17,14 +18,12 @@ class CircuitSyntaxError(QcpartError):
         super().__init__(message)
 
 
-class UnsupportedGateError(QcpartError):
+class CircuitSyntaxError(LineError):
+    """Malformed circuit text."""
+
+
+class UnsupportedGateError(LineError):
     """A gate the importer cannot represent without explicit opt-in."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class InfeasiblePartitionError(QcpartError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcpart import Circuit, Gate, parse_circuit, qc_to_bigraph, subset_qubits, weight_matrix
+from qcpart import Circuit, parse_circuit, qc_to_bigraph, subset_qubits, weight_matrix
 
 # 3 qubits, 3 CNOTs: pairs (q1,q3) x2, (q2,q3) x1
 SAMPLE3 = """qubits 3
@@ -68,14 +68,16 @@ def w4h(circ4h):
 def build_random_circuit(rng: np.random.Generator, n: int, n_gates: int,
                          name: str = "rand", p_single: float = 0.2) -> Circuit:
     """Random mix of CNOTs on distinct pairs and single-qubit gates."""
-    gates = []
-    for i in range(n_gates):
+    labels, ends = [], []
+    for _ in range(n_gates):
         if n >= 2 and rng.random() >= p_single:
             a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate(i, "cnot", (int(a), int(b))))
+            labels.append("cnot")
+            ends.append((a, b))
         else:
-            gates.append(Gate(i, "h", (int(rng.integers(n)),)))
-    return Circuit(width=n, gates=tuple(gates), name=name)
+            labels.append("h")
+            ends.append((-1, rng.integers(n)))
+    return Circuit(n, labels, ends, name)
 
 
 @pytest.fixture

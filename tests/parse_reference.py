@@ -1,8 +1,7 @@
 """Per-line references for ``qcpart.circuit.parse_circuit`` and
 ``qcpart.executor.trace_execution``: the parser that checks and converts one
-line at a time and builds one ``Gate`` per gate, and the trace that classifies
-one gate at a time. The columnar versions in ``src/`` must match them
-exactly, errors included.
+line at a time, and the trace that classifies one gate at a time. The
+columnar versions in ``src/`` must match them exactly, errors included.
 
 The edge-tuple bipartite graph is the reference for ``qcpart.bigraph``: the
 (gate, qubit) edge tuple built from a circuit, its qubit pairs recovered by a
@@ -17,13 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qcpart import Circuit, Gate
+from qcpart import Circuit
 from qcpart.errors import CircuitSyntaxError
 from qcpart.executor import GLOBAL, LOCAL, TraceEntry
-
-
-def _make_gates(specs):
-    return tuple(Gate(i, label, qubits) for i, (label, qubits) in enumerate(specs))
 
 
 def reference_parse(text: str, name: str = "circuit") -> Circuit:
@@ -73,7 +68,8 @@ def reference_parse(text: str, name: str = "circuit") -> Circuit:
         specs.append((label, tuple(qubits)))
     if width is None:
         raise CircuitSyntaxError("missing 'qubits <n>' header")
-    return Circuit(width=width, gates=_make_gates(specs), name=name)
+    return Circuit(width, [label for label, _ in specs],
+                   [(-1, *qs) if len(qs) == 1 else qs for _, qs in specs], name)
 
 
 def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[TraceEntry, ...]:
@@ -89,16 +85,14 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
     part = assignment.part_labels()
     entries = []
     teleports = 0
-    for g in circuit.gates:
-        label = g.label.upper()
-        if not g.is_two_qubit:
-            t = g.target
+    for i, (label, (c, t)) in enumerate(zip(circuit.labels, circuit.ends.tolist())):
+        label = label.upper()
+        if c < 0:
             entries.append(TraceEntry(
-                g.ordinal, f"{label}(q{t + 1},p{part[t]})", LOCAL,
+                i, f"{label}(q{t + 1},p{part[t]})", LOCAL,
                 (part[t],), teleports,
             ))
             continue
-        c, t = g.qubits
         pc, pt = part[c], part[t]
         if pc == pt:
             rendering = f"{label}(q{c + 1},q{t + 1},p{pc})"
@@ -107,7 +101,7 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
             rendering = f"{label}(q{c + 1},p{pc},q{t + 1},p{pt})"
             kind = GLOBAL
             teleports += 1
-        entries.append(TraceEntry(g.ordinal, rendering, kind, tuple(sorted({pc, pt})), teleports))
+        entries.append(TraceEntry(i, rendering, kind, tuple(sorted({pc, pt})), teleports))
     return tuple(entries)
 
 

@@ -152,14 +152,8 @@ def test_criterion_07_monotonicity_and_consistency(corpus):
             assert assignment_cost(r.assignment, w) == r.cost
         # cost depends only on the interaction multiset, not on gate order
         order = rng.permutation(circ.size)
-        shuffled = type(circ)(
-            width=circ.width,
-            gates=tuple(
-                type(g)(i, g.label, g.qubits)
-                for i, g in enumerate(circ.gates[j] for j in order)
-            ),
-            name="shuffled",
-        )
+        shuffled = type(circ)(circ.width, [circ.labels[j] for j in order], circ.ends[order],
+                              "shuffled")
         k_probe = min(2, circ.width)
         assert dp_partition(wmat(shuffled), k_probe).cost == costs[k_probe - 1]
     _passed(7, f"{len(corpus)} circuits: monotone in K, trace == DP == recount, order-free")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from qcpart import (
     BipartiteGraph,
     Circuit,
-    Gate,
     PartitionAssignment,
     WeightMatrix,
     assignment_cost,
@@ -72,24 +73,24 @@ def test_graph_is_a_read_only_view_of_the_circuit(circ4h):
 
 @st.composite
 def circuits(draw):
-    """Circuits built from gates, from columns or by parsing; some have only
-    single-qubit gates, and any may have none."""
+    """Circuits built from column lists, from a numpy array or by parsing;
+    some have only single-qubit gates, and any may have none."""
     width = draw(st.integers(1, 10))
     arities = (1,) if width == 1 or draw(st.booleans()) else (1, 2)
     qubits = [tuple(draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k, unique=True)))
               for k in draw(st.lists(st.sampled_from(arities), max_size=40))]
-    circuit = Circuit(width, gates=(Gate(i, "cnot" if len(q) == 2 else "h", q)
-                                    for i, q in enumerate(qubits)))
+    circuit = Circuit(width, ["cnot" if len(q) == 2 else "h" for q in qubits],
+                      [q if len(q) == 2 else (-1, *q) for q in qubits])
     return draw(st.sampled_from([
         circuit,
-        Circuit.from_columns(width, circuit.labels, circuit.ends.tolist()),
+        Circuit(width, circuit.labels, np.array(circuit.ends)),
         parse_circuit(render_circuit(circuit)),
     ]))
 
 
 @given(circuits())
 @example(Circuit(1))
-@example(Circuit(3, gates=(Gate(0, "h", (2,)), Gate(1, "x", (0,)))))
+@example(Circuit(3, ["h", "x"], [(-1, 2), (-1, 0)]))
 @settings(max_examples=200, deadline=None)
 def test_graph_matches_edge_tuple_reference(circuit):
     graph = qc_to_bigraph(circuit)
@@ -147,6 +148,14 @@ def test_weight_matrix_validation():
     assert WeightMatrix(np.array([[0, 2.0], [2.0, 0]]))[0, 1] == 2
 
 
+def test_non_finite_weights_raise_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="weights must be integers"):
+                WeightMatrix(np.array([[0, bad], [bad, 0]]))
+
+
 def test_weight_matrix_is_read_only(w4):
     with pytest.raises(ValueError):
         w4.m[0, 1] = 9
@@ -177,3 +186,9 @@ def test_dot_export(circ3):
     assert "g1 -- q1;" in dot and "g3 -- q3;" in dot
     assert dot.count("--") == 6
     assert "rank=same" in dot
+
+
+def test_dot_escapes_the_graph_name(circ3):
+    dot = bigraph_to_dot(qc_to_bigraph(circ3), 'a"b\\c')
+    assert dot.startswith('graph "a\\"b\\\\c" {\n')
+    assert dot.split("\n", 1)[1] == bigraph_to_dot(qc_to_bigraph(circ3), "x").split("\n", 1)[1]

@@ -144,6 +144,16 @@ def test_partition_dot_export(capsys, sample3, tmp_path):
     assert "g1 -- q1;" in content
 
 
+def test_partition_dot_escapes_a_quoted_file_name(capsys, tmp_path):
+    circuit = tmp_path / 'a"b.qc'
+    circuit.write_text(SAMPLE3)
+    dot = tmp_path / "graph.dot"
+    code, _, _ = run_cli(capsys, "partition", "--circuit", str(circuit), "--parts", "2",
+                         "--dot", str(dot))
+    assert code == 0
+    assert dot.read_text().startswith('graph "a\\"b" {\n')
+
+
 def test_partition_csv_format_warns_on_trace(capsys, sample4):
     for command, flag in [("partition", "--trace"), ("oracle", "--compare-dp")]:
         code, out, err = run_cli(capsys, command, "--circuit", sample4, "--parts", "2",

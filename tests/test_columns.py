@@ -1,6 +1,9 @@
 """The columnar circuit against the per-line references in ``parse_reference``:
-the same columns, gates and errors from ``parse_circuit``, the same entries
-from ``trace_execution``, and one equality for every way to build a circuit."""
+the same columns and errors from ``parse_circuit``, the same entries from
+``trace_execution``, and one equality for every way to build a circuit."""
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from qcpart import (
     Circuit,
-    Gate,
     PartitionAssignment,
     gen_qft,
     parse_circuit,
@@ -27,13 +29,13 @@ BAD_LINES = ["qubits 3", "QUBITS 2", "cnot", "cnot 1 2 3", "h x", "cnot 2 2", "c
 
 
 def outcome(parse, text):
-    """What parsing ``text`` gives: the circuit's columns and gates, or the
-    error's type, message and line."""
+    """What parsing ``text`` gives: the circuit's columns, or the error's
+    type, message and line."""
     try:
         c = parse(text, name="t")
     except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
         return type(exc), str(exc), getattr(exc, "line", None)
-    return c.width, c.labels, c.ends.tolist(), c.gates, c.name
+    return c.width, c.labels, c.ends.tolist(), c.name
 
 
 def operand(q, style):
@@ -121,13 +123,12 @@ def test_trace_matches_reference(n, n_gates, seed):
 
 def test_every_constructor_gives_one_circuit():
     text = "qubits 4\ncnot 1 2\nh 4\nr2 3 1\n"
-    gates = (Gate(0, "cnot", (0, 1)), Gate(1, "h", (3,)), Gate(2, "r2", (2, 0)))
-    built = Circuit(4, gates=gates, name="c")
+    built = Circuit(4, ("cnot", "h", "r2"), [(0, 1), (-1, 3), (2, 0)], "c")
     parsed = parse_circuit(text, name="c")
-    columns = Circuit.from_columns(4, ["cnot", "h", "r2"], [(0, 1), (-1, 3), (2, 0)], "c")
+    columns = Circuit(4, ["cnot", "h", "r2"], np.array([[0, 1], [-1, 3], [2, 0]]), name="c")
     assert built == parsed == columns
     assert hash(built) == hash(parsed) == hash(columns)
-    assert parsed.gates == built.gates == columns.gates == gates
+    assert built.labels == ("cnot", "h", "r2") and type(columns.labels) is tuple
     assert len({built, parsed, columns}) == 1
     assert parsed != parse_circuit(text, name="d")
     assert parsed != parse_circuit(text.replace("r2", "r3"), name="c")
@@ -138,23 +139,46 @@ def test_every_constructor_gives_one_circuit():
 
 def test_column_checks():
     with pytest.raises(ValueError, match="width must be >= 1"):
-        Circuit.from_columns(0, [], [])
+        Circuit(0, [], [])
     with pytest.raises(ValueError, match=r"shape \(1, 3\); expected \(1, 2\)"):
-        Circuit.from_columns(3, ["x"], [(0, 1, 2)])
+        Circuit(3, ["x"], [(0, 1, 2)])
     with pytest.raises(ValueError, match="gate g2 touches q4, outside width 3"):
-        Circuit.from_columns(3, ["h", "cnot"], [(-1, 0), (3, 1)])
+        Circuit(3, ["h", "cnot"], [(-1, 0), (3, 1)])
     with pytest.raises(ValueError, match="gate g1 touches q-1, outside width 3"):
-        Circuit.from_columns(3, ["cnot"], [(-2, 1)])
+        Circuit(3, ["cnot"], [(-2, 1)])
     with pytest.raises(ValueError, match="gate g1: control equals target"):
-        Circuit.from_columns(3, ["cnot"], [(1, 1)])
-    # gate by gate, the ordinal is checked before the qubits
-    with pytest.raises(ValueError, match="got 5 at position 1"):
-        Circuit(2, gates=(Gate(0, "h", (0,)), Gate(5, "cnot", (0, 3))))
-    with pytest.raises(ValueError, match="gate g1 touches q4"):
-        Circuit(2, gates=(Gate(0, "cnot", (3, 0)), Gate(5, "h", (0,))))
+        Circuit(3, ["cnot"], [(1, 1)])
+    with pytest.raises(ValueError, match="gate g1 touches q4"):  # control before target
+        Circuit(2, ["cnot"], [(3, 5)])
     # the int64 copy of the columns must not truncate a fraction
     with pytest.raises(ValueError, match="qubit indices must be integers"):
-        Circuit.from_columns(3, ["cnot"], [(0.5, 1.9)])
-    with pytest.raises(ValueError, match="qubit indices must be integers"):
-        Circuit(3, gates=(Gate(0, "cnot", (0.7, 2)),))
-    assert Circuit.from_columns(3, ["cnot"], [(0.0, 2.0)]).ends.tolist() == [[0, 2]]
+        Circuit(3, ["cnot"], [(0.5, 1.9)])
+    assert Circuit(3, ["cnot"], [(0.0, 2.0)]).ends.tolist() == [[0, 2]]
+
+
+def test_width_must_be_an_integer():
+    for width in (2.5, "3", 3.0, None):
+        with pytest.raises(ValueError, match="circuit width must be an integer"):
+            Circuit(width, ["cnot"], [(0, 1)])
+    c = Circuit(np.int64(3), ["cnot"], [(0, 2)])
+    assert c.width == 3 and type(c.width) is int
+    assert c == Circuit(3, ["cnot"], [(0, 2)])
+
+
+def test_non_finite_ends_raise_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="qubit indices must be integers"):
+                Circuit(3, ["cnot", "h"], [(0, 1), (-1, bad)])
+
+
+def test_replace_keeps_the_columns_and_rechecks_them():
+    c = parse_circuit("qubits 3\ncnot 1 3\nh 2\n", name="c")
+    renamed = dataclasses.replace(c, name="x")
+    assert renamed.name == "x" and renamed != c
+    assert (renamed.width, renamed.labels, renamed.ends.tolist()) == (3, c.labels, [[0, 2], [-1, 1]])
+    assert not renamed.ends.flags.writeable
+    assert dataclasses.replace(renamed, name="c") == c
+    with pytest.raises(ValueError, match="gate g1 touches q3, outside width 1"):
+        dataclasses.replace(c, width=1)

@@ -8,7 +8,6 @@ from qcpart import (
     GLOBAL,
     LOCAL,
     Circuit,
-    Gate,
     PartitionAssignment,
     assignment_cost,
     compute_metrics,
@@ -144,8 +143,7 @@ def test_trace_to_json_matches_json_dumps():
     for _ in range(30):
         n = int(rng.integers(1, 8))
         c = build_random_circuit(rng, n, int(rng.integers(0, 40)))
-        gates = tuple(Gate(g.ordinal, str(rng.choice(ODD_LABELS)), g.qubits) for g in c.gates)
-        c = Circuit(width=n, gates=gates)
+        c = Circuit(n, [str(rng.choice(ODD_LABELS)) for _ in c.labels], c.ends)
         w = weight_matrix(qc_to_bigraph(c))
         for k in range(1, min(n, 3) + 1):
             trace = trace_execution(c, dp_partition(w, k).assignment)
