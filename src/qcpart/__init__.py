@@ -32,7 +32,7 @@ from .executor import (
     GLOBAL,
     LOCAL,
     Metrics,
-    TraceEntry,
+    Trace,
     compute_metrics,
     format_ratio,
     trace_execution,
@@ -70,7 +70,7 @@ __all__ = [
     "QcpartError",
     "QubitSubset",
     "SizeCapError",
-    "TraceEntry",
+    "Trace",
     "UnsupportedGateError",
     "WeightMatrix",
     "assignment_cost",

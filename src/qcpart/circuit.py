@@ -31,11 +31,12 @@ from .errors import CircuitSyntaxError, UnsupportedGateError
 class Circuit:
     """An ordered gate list over ``width`` qubits, stored as columns. Immutable.
 
-    ``labels[i]`` is the label of gate i, and row i of ``ends`` (read-only
-    int64, shape (G, 2)) holds its 0-based control, or -1 for a single-qubit
-    gate, and its target. The constructor checks the columns once, with
-    numpy, and stores its own read-only copy of ``ends``. Equality and
-    hashing cover width, labels, ends and name.
+    ``labels[i]`` is the label of gate i, one ``str`` word with no whitespace
+    or ``#`` (so it survives the ``.qc`` text), and row i of ``ends``
+    (read-only int64, shape (G, 2)) holds its 0-based control, or -1 for a
+    single-qubit gate, and its target. The constructor checks the columns
+    once, over whole columns, and stores its own read-only copy of ``ends``.
+    Equality and hashing cover width, labels, ends and name.
 
     ``decomposed_mct`` records that multi-control gates were replaced by
     pairwise CNOTs on import; reports must surface that the circuit is an
@@ -77,6 +78,14 @@ class Circuit:
                 q = c[i] if bad_c[i] else t[i]
                 raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {width}")
             raise ValueError(f"gate g{i + 1}: control equals target")
+        try:  # space-joined labels split back into themselves iff each is one word
+            words = " ".join(labels)
+        except TypeError:  # a label that is not a str
+            words = "#"
+        if "#" in words or words.split() != list(labels):
+            i, label = next((i, s) for i, s in enumerate(labels)
+                            if not isinstance(s, str) or s.split() != [s] or "#" in s)
+            raise ValueError(f"gate g{i + 1}: label {label!r} is not one word without '#'")
         ends.setflags(write=False)
         for key, value in (("width", width), ("labels", labels), ("ends", ends)):
             object.__setattr__(self, key, value)

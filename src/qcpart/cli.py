@@ -27,7 +27,7 @@ from . import references
 from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
 from .errors import InfeasiblePartitionError, LineError, QcpartError, SizeCapError
-from .executor import (TraceEntry, compute_metrics, format_ratio, trace_execution,
+from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
                        trace_to_json, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
@@ -61,16 +61,15 @@ class RunReport:
     flags: dict
     notes: list[str] | None = None
     references: dict | None = None
-    trace: tuple[TraceEntry, ...] | None = None
+    trace: Trace | None = None
     dp_table: DpTable | None = None
     wall_time_ms: int | None = None
     dp_cost: int | None = None
     dp_match: bool | None = None
 
     def to_json(self) -> str:
-        """``json.dumps(..., indent=2)`` of the non-None fields, byte for byte,
-        with ``trace`` as ``trace_to_records`` and ``dp_table`` as its
-        ``payload()``; those two come from their templated renderers."""
+        """``json.dumps(..., indent=2)`` of the non-None fields, byte for byte; the
+        ``Trace`` and ``DpTable`` render through their own indent=2 templates."""
         fields = []
         for name, value in vars(self).items():
             if value is None:
@@ -256,13 +255,14 @@ def emit_text(report: RunReport) -> str:
     return out
 
 
-def emit_report(report: RunReport, fmt: str) -> None:
-    if fmt == "json":
+def emit_report(report: RunReport, args) -> None:
+    """Print the report in ``args.format``; CSV notes the flags it has no columns for."""
+    if args.format == "json":
         print(report.to_json())
-    elif fmt == "csv":
-        if report.trace is not None or report.dp_table is not None:
+    elif args.format == "csv":
+        if getattr(args, "trace", False) or getattr(args, "table", False):
             print("csv format has no trace/table section; ignoring --trace/--table", file=sys.stderr)
-        if report.dp_cost is not None:
+        if getattr(args, "compare_dp", False):
             print("csv format has no dp cross-check columns; ignoring --compare-dp", file=sys.stderr)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms"])
@@ -305,20 +305,21 @@ def cmd_partition(args) -> int:
     _check_threads(args)
     circuit, cap = _single_circuit(args, _dp_cap)
     k = _single_k(args)
+    full = args.format != "csv"  # a CSV row drops the trace and the table
     t0 = time.perf_counter()
     graph = qc_to_bigraph(circuit)
     w = weight_matrix(graph)
     result = dp_partition(w, k, max_part_size=args.max_part_size,
-                          keep_table=args.table, cap=cap)
+                          keep_table=args.table and full, cap=cap)
     wall_ms = _elapsed_ms(args, t0)
     if args.dot:
         Path(args.dot).write_text(bigraph_to_dot(graph, circuit.name), encoding="utf-8")
         print(f"wrote bipartite graph to {args.dot}", file=sys.stderr)
     report = _build_report(circuit, k, result, "partition", args, wall_ms)
-    if args.trace:
+    if args.trace and full:
         report.trace = trace_execution(circuit, result.assignment)
     report.dp_table = result.table
-    emit_report(report, args.format)
+    emit_report(report, args)
     return EXIT_OK
 
 
@@ -330,11 +331,11 @@ def cmd_oracle(args) -> int:
     result = oracle_partition(w, k)
     wall_ms = _elapsed_ms(args, t0)
     report = _build_report(circuit, k, result, "oracle", args, wall_ms)
-    if args.compare_dp:
+    if args.compare_dp and args.format != "csv":
         dp_result = dp_partition(w, k)
         report.dp_cost = dp_result.cost
         report.dp_match = dp_result.cost == result.cost
-    emit_report(report, args.format)
+    emit_report(report, args)
     return EXIT_OK
 
 

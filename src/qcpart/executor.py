@@ -20,17 +20,35 @@ LOCAL = "local"
 GLOBAL = "global"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    gate_ordinal: int
-    rendering: str
-    kind: str  # LOCAL or GLOBAL
-    parts: tuple[int, ...]
-    teleports_so_far: int
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A circuit's gates classified under one assignment, as columns: row i of
+    ``parts`` (read-only int64, shape (G, 2)) holds the part of gate i's
+    control, or of its target for a single-qubit gate, then the part of its
+    target. ``circuit`` is shared, not copied."""
+
+    circuit: Circuit
+    parts: np.ndarray
 
     @property
-    def is_global(self) -> bool:
-        return self.kind == GLOBAL
+    def is_global(self) -> np.ndarray:
+        return self.parts[:, 0] != self.parts[:, 1]
+
+    def rows(self):
+        """One ``(gate, rendering, kind, parts, teleports_so_far)`` tuple of plain
+        Python values per gate, in execution order and JSON key order; ``gate``
+        is 1-based and ``parts`` holds the gate's distinct parts, ascending."""
+        c, t = (self.circuit.ends + 1).T.tolist()  # 1-based; control 0 for a single-qubit gate
+        pc, pt = self.parts.T.tolist()
+        teleports = np.cumsum(self.is_global).tolist()
+        for i, (label, qc, qt, a, b, n) in enumerate(
+                zip(map(str.upper, self.circuit.labels), c, t, pc, pt, teleports), 1):
+            if a != b:
+                yield i, f"{label}(q{qc},p{a},q{qt},p{b})", GLOBAL, (a, b) if a < b else (b, a), n
+            elif qc:
+                yield i, f"{label}(q{qc},q{qt},p{a})", LOCAL, (a,), n
+            else:
+                yield i, f"{label}(q{qt},p{a})", LOCAL, (a,), n
 
 
 @dataclass(frozen=True)
@@ -43,37 +61,17 @@ class Metrics:
     per_part_sizes: tuple[int, ...]
 
 
-def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> tuple[TraceEntry, ...]:
-    """One entry per gate in execution order, with a running teleport count.
-
-    Single-qubit gates are always local; the total number of global entries
-    equals the inter-part weight of the assignment. Every gate is classified
-    at once over the circuit's ``ends`` columns; only the renderings are
-    formatted gate by gate.
-    """
+def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> Trace:
+    """Every gate of ``circuit`` classified at once under ``assignment``. Single-qubit
+    gates are local; the global ones number the assignment's inter-part weight."""
     if assignment.n != circuit.width:
-        raise ValueError(
-            f"assignment covers {assignment.n} qubits, circuit has {circuit.width}"
-        )
-    part = np.asarray(assignment.part_labels(), dtype=np.int64)
-    c, t = circuit.ends[:, 0], circuit.ends[:, 1]
-    two = c >= 0
-    pt = part[t]
-    pc = np.where(two, part[c], pt)  # a single-qubit gate's one part
-    is_global = pc != pt
-    teleports = np.cumsum(is_global)
-    entries = []
-    for i, (label, qc, qt, pci, pti, g, n) in enumerate(zip(
-            map(str.upper, circuit.labels), (c + 1).tolist(), (t + 1).tolist(),
-            pc.tolist(), pt.tolist(), is_global.tolist(), teleports.tolist())):
-        if g:
-            entries.append(TraceEntry(i, f"{label}(q{qc},p{pci},q{qt},p{pti})", GLOBAL,
-                                      (pci, pti) if pci < pti else (pti, pci), n))
-        elif qc:  # 1-based control; 0 for a single-qubit gate
-            entries.append(TraceEntry(i, f"{label}(q{qc},q{qt},p{pci})", LOCAL, (pci,), n))
-        else:
-            entries.append(TraceEntry(i, f"{label}(q{qt},p{pti})", LOCAL, (pti,), n))
-    return tuple(entries)
+        raise ValueError(f"assignment covers {assignment.n} qubits, "
+                         f"circuit has {circuit.width}")
+    ends = circuit.ends
+    # a single-qubit gate's target stands in for its missing control
+    parts = np.asarray(assignment.part_labels(), np.int64)[np.where(ends < 0, ends[:, 1:], ends)]
+    parts.setflags(write=False)
+    return Trace(circuit, parts)
 
 
 def compute_metrics(circuit: Circuit, result: PartitionResult) -> Metrics:
@@ -92,52 +90,37 @@ def format_ratio(r: Fraction) -> str:
     return f"{scaled // 100}.{scaled % 100:02d}"
 
 
-def trace_to_text(trace: tuple[TraceEntry, ...]) -> str:
+def trace_to_text(trace: Trace) -> str:
     """Aligned three-column table: # of Gate, Gate_name, Type (L/G)."""
-    rows = [(f"g{e.gate_ordinal + 1}", e.rendering, "G" if e.is_global else "L") for e in trace]
-    headers = ("# of Gate", "Gate_name", "Type")
-    widths = [max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
-              for c in range(3)]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(headers))]
-    for r in rows:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in range(3)).rstrip())
-    return "\n".join(lines) + "\n"
+    rows = [("# of Gate", "Gate_name", "Type")] + [
+        (f"g{gate}", rendering, "G" if kind == GLOBAL else "L")
+        for gate, rendering, kind, _, _ in trace.rows()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.ljust, r, widths)).rstrip() + "\n" for r in rows)
 
 
-def trace_to_records(trace: tuple[TraceEntry, ...]) -> list[dict]:
+def trace_to_records(trace: Trace) -> list[dict]:
     """JSON-ready records, one per gate, in the key order of ``trace_to_json``."""
-    return [
-        {
-            "gate": e.gate_ordinal + 1,
-            "rendering": e.rendering,
-            "kind": e.kind,
-            "parts": list(e.parts),
-            "teleports_so_far": e.teleports_so_far,
-        }
-        for e in trace
-    ]
+    return [{"gate": gate, "rendering": rendering, "kind": kind, "parts": list(parts),
+             "teleports_so_far": n} for gate, rendering, kind, parts, n in trace.rows()]
 
 
-# one trace_to_records record at depth 1 of a json.dumps(..., indent=2) array
-_RECORD_JSON = ('  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": %s,\n'
-                '    "parts": %s,\n    "teleports_so_far": %d\n  }')
+# one trace_to_records record at depth 1 of a json.dumps(..., indent=2) array, by kind
+_RECORD_JSON = {
+    LOCAL: '  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": "local",\n'
+           '    "parts": [\n      %d\n    ],\n    "teleports_so_far": %d\n  }',
+    GLOBAL: '  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": "global",\n'
+            '    "parts": [\n      %d,\n      %d\n    ],\n    "teleports_so_far": %d\n  }',
+}
 
 
-def trace_to_json(trace: tuple[TraceEntry, ...]) -> str:
+def trace_to_json(trace: Trace) -> str:
     """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte.
 
     The standard library drops to its pure-Python encoder whenever ``indent``
     is set, so each record is filled into a fixed indent=2 template instead,
-    with strings escaped by the same C routine ``json.dumps`` uses.
+    with the rendering escaped by the same C routine ``json.dumps`` uses.
     """
-    if not trace:
-        return "[]"
-    enc = encode_basestring_ascii
-    return "[\n" + ",\n".join(
-        _RECORD_JSON % (
-            e.gate_ordinal + 1, enc(e.rendering), enc(e.kind),
-            "[\n      " + ",\n      ".join(map(str, e.parts)) + "\n    ]" if e.parts else "[]",
-            e.teleports_so_far,
-        )
-        for e in trace
-    ) + "\n]"
+    body = ",\n".join(_RECORD_JSON[kind] % (gate, encode_basestring_ascii(rendering), *parts, n)
+                      for gate, rendering, kind, parts, n in trace.rows())
+    return "[\n" + body + "\n]" if body else "[]"

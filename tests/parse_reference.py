@@ -18,7 +18,7 @@ import numpy as np
 
 from qcpart import Circuit
 from qcpart.errors import CircuitSyntaxError
-from qcpart.executor import GLOBAL, LOCAL, TraceEntry
+from qcpart.executor import GLOBAL, LOCAL
 
 
 def reference_parse(text: str, name: str = "circuit") -> Circuit:
@@ -72,8 +72,9 @@ def reference_parse(text: str, name: str = "circuit") -> Circuit:
                    [(-1, *qs) if len(qs) == 1 else qs for _, qs in specs], name)
 
 
-def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[TraceEntry, ...]:
-    """One entry per gate in execution order, with a running teleport count.
+def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> list[tuple]:
+    """One ``Trace.rows()`` tuple per gate in execution order, with a running
+    teleport count.
 
     Single-qubit gates are always local; the total number of global entries
     equals the inter-part weight of the assignment.
@@ -88,8 +89,8 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
     for i, (label, (c, t)) in enumerate(zip(circuit.labels, circuit.ends.tolist())):
         label = label.upper()
         if c < 0:
-            entries.append(TraceEntry(
-                i, f"{label}(q{t + 1},p{part[t]})", LOCAL,
+            entries.append((
+                i + 1, f"{label}(q{t + 1},p{part[t]})", LOCAL,
                 (part[t],), teleports,
             ))
             continue
@@ -101,8 +102,8 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> tuple[
             rendering = f"{label}(q{c + 1},p{pc},q{t + 1},p{pt})"
             kind = GLOBAL
             teleports += 1
-        entries.append(TraceEntry(i, rendering, kind, tuple(sorted({pc, pt})), teleports))
-    return tuple(entries)
+        entries.append((i + 1, rendering, kind, tuple(sorted({pc, pt})), teleports))
+    return entries
 
 
 

@@ -176,7 +176,7 @@ def test_gate_scan_and_matrix_paths_agree():
         s2 = int(rng.integers(0, full + 1)) & s2full
         a = PartitionAssignment.from_labels(
             [0 if (s1 >> q) & 1 else 1 if (s2 >> q) & 1 else 2 for q in range(n)])
-        n_global = sum(e.is_global for e in trace_execution(c, a))
+        n_global = trace_execution(c, a).is_global.sum()
         assert n_global == assignment_cost(a, w)
 
 

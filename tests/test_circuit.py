@@ -85,6 +85,20 @@ def test_circuit_invariants():
         Circuit(width=1, labels=["cnot"], ends=[(0, 1)])  # out of width
 
 
+@pytest.mark.parametrize("label", ["#x", "a#", "a b", "", " h", "h\n", " ", "\x1f", 1, None])
+def test_circuit_rejects_labels_that_break_the_text(label):
+    # each would drop a gate on round trip, fail the parse or break the trace
+    with pytest.raises(ValueError, match=r"^gate g2: label .* is not one word without '#'$"):
+        Circuit(3, ["cnot", label, "h", label], [(0, 1), (-1, 2), (-1, 0), (-1, 1)])
+
+
+def test_circuit_accepts_labels_that_need_escaping():
+    labels = ["é", 'a"b', "\\", "\x00\x7f", "\x08", "qubitsx"]
+    c = Circuit(2, labels, [(-1, 0)] * len(labels))
+    assert c.labels == tuple(labels)
+    assert parse_circuit(render_circuit(c)) == c
+
+
 def test_round_trip_fixed():
     text = "qubits 4\ncnot 1 2\nh 3\nr2 4 1\n"
     c = parse_circuit(text)

