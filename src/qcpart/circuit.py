@@ -32,7 +32,8 @@ class Circuit:
     """An ordered gate list over ``width`` qubits, stored as columns. Immutable.
 
     ``labels[i]`` is the label of gate i, one ``str`` word with no whitespace
-    or ``#`` (so it survives the ``.qc`` text), and row i of ``ends``
+    or ``#`` and not ``qubits`` in any case (so it survives the ``.qc``
+    text, whose header that word starts), and row i of ``ends``
     (read-only int64, shape (G, 2)) holds its 0-based control, or -1 for a
     single-qubit gate, and its target. The constructor checks the columns
     once, over whole columns, and stores its own read-only copy of ``ends``.
@@ -86,6 +87,10 @@ class Circuit:
             i, label = next((i, s) for i, s in enumerate(labels)
                             if not isinstance(s, str) or s.split() != [s] or "#" in s)
             raise ValueError(f"gate g{i + 1}: label {label!r} is not one word without '#'")
+        if "qubits" in words.lower():  # the .qc header word, in any case
+            i = next((i for i, s in enumerate(labels) if s.lower() == "qubits"), None)
+            if i is not None:
+                raise ValueError(f"gate g{i + 1}: label {labels[i]!r} is reserved for the header")
         ends.setflags(write=False)
         for key, value in (("width", width), ("labels", labels), ("ends", ends)):
             object.__setattr__(self, key, value)
@@ -208,7 +213,8 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
     """Import a RevLib-style ``.real`` description.
 
     Supported gate lines: ``t1 x`` (NOT), ``t2 c t`` (CNOT), and any other
-    single-operand gate, kept under its own label. ``tK`` lines with K >= 3
+    single-operand gate, kept under its own label (except ``qubits``, in any
+    case, which the ``.qc`` header reserves). ``tK`` lines with K >= 3
     are multi-control Toffolis: rejected unless ``decompose_mct`` is set, in
     which case each one becomes one CNOT per (control, target) pair. That
     replacement keeps the qubit-interaction structure but is not a unitary
@@ -293,6 +299,10 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                     labels.append("cnot")
                     ends.append((c, target))
                 decomposed = True
+        elif head == "qubits":
+            raise CircuitSyntaxError(
+                f"gate label {tokens[0]!r} is reserved for the .qc header", lineno
+            )
         elif len(operands) == 1:
             labels.append(head)
             ends.append((-1, operands[0]))

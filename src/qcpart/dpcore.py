@@ -31,15 +31,42 @@ the high bits, whose 3^H disjoint pairs a Python loop walks block by block
 Only the full mask is needed at the last level of a partition, and there
 the scan is one vector op over the 2^(n-1) submasks.
 
+A partition solve with K >= 3 may instead run the bounded-peel schedule.
+Let U be the cost of any feasible K-split within the cap. Every part P of
+an optimal split then has cut(P, V \\ P) <= OPT <= U and at most
+min(cap, n-K+1) qubits. U is the better of two cheap splits: the K-1
+lowest-degree qubits as singletons (when the rest fits the cap) and a
+balanced split in qubit order. The cut of every candidate peel t is one
+vector op over the even masks, win[-1] - win[0::2] - win[-1::-2] (the
+second term is win[t], the third win[V \\ t]), so the admissible
+peels T are found before any level runs. Levels 2..K-1 then take the
+packed-key minimum over T only, one np.minimum per peel over the strided
+view of the states that contain it, and the last level is one gather over
+T. Skipping the other peels changes nothing on the reconstruction path: a
+peel that is optimal at a state on the path extends to an optimal split,
+all of whose parts lie in T, so the path's costs are exact and its
+lowest optimal peel is the dense schedule's. Every other entry of a
+bounded level may sit above its true optimum (never below it).
+
+``plan`` picks the schedule from (win, K, cap) by counted work, never by
+measured time. The dense schedule costs 3^(n-1) pair-ops per level. The
+bounded one updates the sum over t in T of 2^(n-1-|t|) states per level,
+each charged PEEL_ELEMENT_COST pair-ops, plus PEEL_CHARGE pair-ops per peel
+for its numpy calls. Both constants were fitted on a 2-core Xeon VM, where
+a dense pair-op takes about 2.5 ns, a bounded update about 5 ns and a
+peel's calls about 10 us. Full tables, K = 2 and solves whose
+(K-2)*3^(n-1) is below BOUND_FLOOR stay dense without computing U.
+
 A full table solves every mask. The masks whose lowest qubit is b are the
 same problem on qubits b..n-1, so the full table is n runs of the odd-mask
 solve, each scattered into per-level arrays indexed by mask. Run time grows
-as 3^n.
+as 3^n. It always runs the dense schedule, so every entry is exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -49,6 +76,9 @@ INF = 1 << 62  # cost of an unreachable state
 _KEY_INF = 1 << 61  # packed key of an unreachable term; two of them fit in int64
 _KEY_REACH = 1 << 60  # a packed sum at or above this is unreachable
 LOW_BITS = 10
+BOUND_FLOOR = 3 ** 11  # fewer pair-ops than this: dense, no bound computed
+PEEL_ELEMENT_COST = 2  # dense pair-ops per state a bounded peel updates
+PEEL_CHARGE = 4096  # dense pair-ops charged per peel and level
 
 
 def _internal_weights(w: np.ndarray) -> np.ndarray:
@@ -137,6 +167,103 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool) -> l
     return levels
 
 
+def _upper_bound(win: np.ndarray, kmax: int, cap: int) -> int | None:
+    """Cost of the better of two cheap feasible kmax-splits within the cap, or
+    None when neither is feasible: the kmax - 1 lowest-degree qubits as
+    singletons (when the rest fits the cap), and a balanced split in qubit
+    order. A qubit's degree is win[V] - win[V without it]."""
+    n = win.size.bit_length() - 1
+    full = win.size - 1
+    costs = []
+    if n - kmax + 1 <= cap:
+        deg = win[-1] - win[full ^ (1 << np.arange(n))]
+        rest = full ^ int((1 << np.argsort(deg, kind="stable")[:kmax - 1]).sum())
+        costs.append(int(win[-1] - win[rest]))
+    if -(-n // kmax) <= cap:
+        parts = [int((1 << q).sum()) for q in np.array_split(np.arange(n), kmax)]
+        costs.append(int(win[-1] - win[parts].sum()))
+    return min(costs, default=None)
+
+
+def _admissible_peels(win: np.ndarray, kmax: int, cap: int) -> np.ndarray | None:
+    """Every peel t (a mask over qubits 1..n-1 of ``win``, shifted down one
+    bit) that can be a part of an optimal kmax-split within the cap, in
+    ascending order: cut(t, V \\ t) at most ``_upper_bound`` and at most
+    min(cap, n-kmax+1) qubits. None when there is no bound."""
+    bound = _upper_bound(win, kmax, cap)
+    if bound is None:
+        return None
+    bits = win.size.bit_length() - 2
+    cut = win[-1] - win[0::2] - win[-1::-2]  # win[V] - win[t] - win[V \ t]
+    pc = _popcounts(bits)
+    return np.flatnonzero((cut <= bound) & (pc >= 1) & (pc <= min(cap, bits + 2 - kmax)))
+
+
+def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> np.ndarray | None:
+    """The admissible peels when the bounded schedule does less counted
+    work than the dense one; None to run the dense schedule."""
+    bits = win.size.bit_length() - 2
+    dense = 3 ** bits
+    if full_table or kmax < 3 or (kmax - 2) * dense < BOUND_FLOOR:
+        return None
+    peels = _admissible_peels(win, kmax, cap)
+    if peels is None:
+        return None
+    updates = int((1 << (bits - _popcounts(bits)[peels])).sum())
+    work = PEEL_ELEMENT_COST * updates + PEEL_CHARGE * peels.size
+    return peels if work < dense else None
+
+
+def _peel_views(t: int, bits: int) -> tuple:
+    """How to view the states that contain peel t, and their rests x \\ t,
+    in an array of 2^bits masks: reshape to one axis per run of bits that
+    are all in t or all out of it (highest run first), index t's runs at
+    all-ones or at zero, then order the free axes for iteration. A
+    contiguous lowest run of at least 8 masks stays innermost; a shorter one
+    would make every inner loop that short, so then the longest run goes
+    innermost instead. Returns (shape, index with t, index of rest, axes)."""
+    shape, with_t, rest = [], [], []
+    for bit, run in groupby(format(t, f"0{bits}b")):
+        size = 1 << len(list(run))
+        shape.append(size)
+        with_t.append(size - 1 if bit == "1" else slice(None))
+        rest.append(0 if bit == "1" else slice(None))
+    free = [size for size, i in zip(shape, rest) if isinstance(i, slice)]
+    axes = range(len(free))
+    if free and free[-1] < 8:
+        axes = sorted(axes, key=free.__getitem__)
+    return tuple(shape), tuple(with_t), tuple(rest), axes
+
+
+def _bounded_levels(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray) -> list:
+    """``_odd_levels(win, kmax, cap, True)`` with every peel outside ``peels``
+    skipped. Level k < kmax takes, for each peel t, one np.minimum over the
+    strided view of the states that contain t, against the view of their
+    rests x \\ t (see ``_peel_views``); the last level is one gather over
+    the peels."""
+    bits = win.size.bit_length() - 2
+    size = 1 << bits
+    wodd = win[1::2]
+    akey = (-win[0::2][peels] << bits) + peels
+    views = [_peel_views(t, bits) for t in peels.tolist()]
+    cost = np.where(_popcounts(bits) < cap, 0, INF)  # level 1, as in _odd_levels
+    levels = []
+    for k in range(2, kmax + 1):
+        bkey = np.where(cost < INF, (cost - wodd) << bits, _KEY_INF)
+        key = np.full(size, _KEY_INF)
+        if k == kmax:
+            key[-1] = (akey + bkey[(size - 1) ^ peels]).min()
+        else:
+            for a, (shape, with_t, rest, axes) in zip(akey.tolist(), views):
+                out = key.reshape(shape)[with_t].transpose(axes)
+                summed = np.add(bkey.reshape(shape)[rest].transpose(axes), a, order="C")
+                np.minimum(out, summed, out=out, order="C")
+        reach = key < _KEY_REACH
+        cost = np.where(reach, wodd + (key >> bits), INF)
+        levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))
+    return levels
+
+
 def solve(w: np.ndarray, kmax: int, cap: int, *,
           full_table: bool = False) -> tuple[list, list]:
     """Run the level DP over an n x n weight array. ``cap`` bounds part sizes
@@ -144,10 +271,12 @@ def solve(w: np.ndarray, kmax: int, cap: int, *,
     level instead of only the states a final reconstruction can reach.
 
     Returns ``(cost_levels, choice_levels)``: for k >= 2, entry k is an int64
-    array of costs (INF when unreachable) or of peeled submasks. A full table
-    is indexed by mask; otherwise level k holds the odd masks, indexed by
-    mask >> 1, and level kmax holds only the full mask. Levels 0 and 1 are
-    None."""
+    array of costs (INF when unreachable) or of peeled submasks. Levels 0
+    and 1 are None. A full table is indexed by mask, and every entry is
+    exact. Otherwise level k holds the odd masks, indexed by mask >> 1, and
+    level kmax holds only the full mask; only the full mask's cost and the
+    back-pointers along its reconstruction path are guaranteed, since
+    ``plan`` may pick the bounded schedule."""
     if kmax < 2:  # one part: no level to solve, and no 2^n weight array
         return [None, None], [None, None]
     n = w.shape[0]
@@ -159,8 +288,10 @@ def solve(w: np.ndarray, kmax: int, cap: int, *,
             f"total weight {total} over {n} qubits exceeds the DP's 64-bit key range"
         )
     win = _internal_weights(w)
+    peels = plan(win, kmax, cap, full_table)
     if not full_table:
-        levels = _odd_levels(win, kmax, cap, True)
+        levels = (_odd_levels(win, kmax, cap, True) if peels is None
+                  else _bounded_levels(win, kmax, cap, peels))
         return [None, None] + [c for c, _ in levels], [None, None] + [s for _, s in levels]
     size = 1 << n
     costs = [np.full(size, INF) for _ in range(2, kmax + 1)]

@@ -129,59 +129,46 @@ def _subset_labels(n: int) -> list[str]:
 
 
 class DpTable:
-    """Memo table over (mask, k): the optimal cost and the peeled submask that
-    achieves it, read from the per-level arrays of ``dpcore.solve``. A full
-    table is indexed by mask; otherwise a level holds only the odd masks,
-    indexed by mask >> 1.
+    """Full memo table over (mask, k): the optimal cost and the peeled
+    submask that achieves it, read from the per-level arrays of a full-table
+    ``dpcore.solve``, indexed by mask.
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
     or no split satisfying the part-size cap); ``choice_at`` returns None at
     k=1 and for unreachable states.
     """
 
-    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list,
-                 full_table: bool):
+    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list):
         self.n = n
         self.k_max = k_max
         self.cap = cap
         self._cost = cost_levels
         self._choice = choice_levels
-        self._full = full_table
 
-    def _index(self, mask: int, k: int) -> int | None:
-        """Array index of (mask, k) at a level k >= 2; None when not stored."""
+    def _check(self, mask: int, k: int) -> None:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in 1..{self.k_max}")
         if not 1 <= mask < (1 << self.n):
             raise ValueError(f"mask must be a non-empty subset of {self.n} qubits")
-        if k == 1 or not (self._full or mask & 1):
-            return None
-        return mask if self._full else mask >> 1
 
     def cost_at(self, mask: int, k: int) -> int | None:
-        i = self._index(mask, k)
+        self._check(mask, k)
         if k == 1:
             return 0 if mask.bit_count() <= self.cap else None
-        if i is None:
-            return None
-        cost = self._cost[k].item(i)
+        cost = self._cost[k].item(mask)
         return cost if cost < dpcore.INF else None
 
     def choice_at(self, mask: int, k: int) -> QubitSubset | None:
-        i = self._index(mask, k)
+        self._check(mask, k)
         # a reachable state always peels a non-empty part; 0 marks the others
-        return None if i is None else self._choice[k].item(i) or None
+        return None if k == 1 else self._choice[k].item(mask) or None
 
     def _column(self, k: int) -> list:
         """``cost_at(mask, k)`` for every mask 1 .. 2^n - 1, read in one ``tolist()``."""
         if k == 1:
             return [0 if mask.bit_count() <= self.cap else None for mask in range(1, 1 << self.n)]
         costs = [c if c < dpcore.INF else None for c in self._cost[k].tolist()]
-        if self._full:
-            return costs[1:]
-        column = [None] * ((1 << self.n) - 1)
-        column[::2] = costs  # odd masks; level k holds mask >> 1
-        return column
+        return costs[1:]  # index 0 is the empty mask
 
     def payload(self) -> dict:
         """``{header, rows}``: one row per subset index (the decimal mask
@@ -253,21 +240,32 @@ def check_width(n: int, cap: int | None = None) -> None:
         )
 
 
-def _reconstruct(table: DpTable, k: int) -> list[QubitSubset]:
-    mask = (1 << table.n) - 1
+def _reconstruct(n: int, k: int, cost_levels: list, choice_levels: list,
+                 shift: int) -> tuple[int, list[QubitSubset]]:
+    """Cost of the full mask at level k and its parts, followed down the
+    back-pointers of ``dpcore.solve``'s level arrays; mask m sits at index
+    m >> shift (0 for a full table, 1 for the odd-mask levels)."""
+    mask = (1 << n) - 1
+    if k == 1:
+        return 0, [mask]
+    cost = cost_levels[k].item(mask >> shift)
+    if cost >= dpcore.INF:
+        raise QcpartError("no feasible partition found for a feasible problem")
     parts = []
     for level in range(k, 1, -1):
-        s = table.choice_at(mask, level)
-        if s is None:
+        s = choice_levels[level].item(mask >> shift)
+        if s == 0:  # a reachable state always peels a non-empty part
             raise QcpartError("memo table has no back-pointer for a reachable state")
         parts.append(s)
         mask ^= s
     parts.append(mask)
-    return parts
+    return cost, parts
 
 
 def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
-           full_table: bool) -> DpTable:
+           full_table: bool) -> tuple[int, list, list]:
+    """Check the problem, then run ``dpcore.solve``. Returns the effective
+    part cap and the cost and choice levels."""
     n = w.n
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
@@ -282,8 +280,7 @@ def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
                 f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
-    return DpTable(n, k, effective_cap,
-                   *dpcore.solve(w.m, k, effective_cap, full_table=full_table), full_table)
+    return (effective_cap, *dpcore.solve(w.m, k, effective_cap, full_table=full_table))
 
 
 def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
@@ -296,27 +293,33 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     deterministic. ``max_part_size`` restricts every part to at most that
     many qubits. ``keep_table`` retains the full memo table on the result.
     ``cap`` overrides the qubit-count guardrail (default 24).
+
+    Without ``keep_table`` only the states a reconstruction can reach are
+    solved, and for K >= 3 ``dpcore.plan`` may scan only the peels whose
+    cut is at most the cost of a cheap feasible split (and whose size is at
+    most min(cap, n-K+1)): no part of an optimal split can be any other.
+    It does so when that counted work is below the dense scan's 3^(n-1)
+    pair-ops per level. Either way the cost and the assignment are the
+    dense DP's. With ``keep_table`` the full table is always solved densely.
     """
-    table = _solve(w, k, max_part_size, cap, keep_table)
+    effective_cap, costs, choices = _solve(w, k, max_part_size, cap, keep_table)
     n = w.n
-    cost = table.cost_at((1 << n) - 1, k)
-    if cost is None:
-        raise QcpartError("no feasible partition found for a feasible problem")
-    assignment = PartitionAssignment.from_parts(n, _reconstruct(table, k))
+    cost, parts = _reconstruct(n, k, costs, choices, 0 if keep_table else 1)
+    assignment = PartitionAssignment.from_parts(n, parts)
     recount = assignment_cost(assignment, w)
     if cost != recount:
         raise QcpartError(f"DP cost {cost} differs from its assignment's recounted cost {recount}")
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=table if keep_table else None,
+        table=DpTable(n, k, effective_cap, costs, choices) if keep_table else None,
         max_part_size=max_part_size,
     )
 
 
 def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
     """Full memo table over every non-empty mask and 1 <= level <= k."""
-    return _solve(w, k, None, cap, True)
+    return DpTable(w.n, k, *_solve(w, k, None, cap, True))
 
 
 @lru_cache(maxsize=None)

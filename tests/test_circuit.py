@@ -92,6 +92,15 @@ def test_circuit_rejects_labels_that_break_the_text(label):
         Circuit(3, ["cnot", label, "h", label], [(0, 1), (-1, 2), (-1, 0), (-1, 1)])
 
 
+@pytest.mark.parametrize("label", ["qubits", "QUBITS", "Qubits"])
+def test_circuit_rejects_the_header_word(label):
+    # render_circuit would write it as a second header, which parse_circuit rejects
+    with pytest.raises(ValueError, match=r"^gate g2: label .* is reserved for the header$"):
+        Circuit(2, ["h", label], [(-1, 0), (-1, 1)])
+    with pytest.raises(CircuitSyntaxError, match="line 5: gate label .* is reserved"):
+        import_real(REAL_HEADER + f"t2 a b\n{label} a\n")
+
+
 def test_circuit_accepts_labels_that_need_escaping():
     labels = ["é", 'a"b', "\\", "\x00\x7f", "\x08", "qubitsx"]
     c = Circuit(2, labels, [(-1, 0)] * len(labels))

@@ -527,6 +527,10 @@ def test_real_import_tk_heads(capsys, tmp_path):
                                  *extra)
         assert (code, out) == (1, "")
         assert err == "error: line 4: gate 't0' acts on no qubit; tK needs K >= 1\n"
+    real.write_text(".numvars 2\n.variables a b\n.begin\nQubits a\n.end\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "partition", "--circuit", str(real), "--parts", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: line 4: gate label 'Qubits' is reserved for the .qc header\n"
     real.write_text(".numvars 2\n.variables a b\n.begin\nt\u00b2 a\nt2 a b\n.end\n",
                     encoding="utf-8")
     code, out, _ = run_cli(capsys, "partition", "--circuit", str(real), "--parts", "2",

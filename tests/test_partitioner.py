@@ -220,7 +220,6 @@ def test_table_payload_reads_every_cell(w4, w4h):
     w8 = wmat(build_random_circuit(rng, 8, 14))
     tables = [dp_table(w4, 4), dp_table(w4h, 2),
               dp_partition(w8, 3, max_part_size=3, keep_table=True).table,
-              partitioner._solve(w8, 3, 4, None, False),  # odd masks only
               dp_table(WeightMatrix(np.zeros((1, 1))), 1)]
     for t in tables:
         assert t.payload()["rows"] == [
