@@ -31,31 +31,57 @@ the high bits, whose 3^H disjoint pairs a Python loop walks block by block
 Only the full mask is needed at the last level of a partition, and there
 the scan is one vector op over the 2^(n-1) submasks.
 
-A partition solve with K >= 3 may instead run the bounded-peel schedule.
-Let U be the cost of any feasible K-split within the cap. Every part P of
-an optimal split then has cut(P, V \\ P) <= OPT <= U and at most
-min(cap, n-K+1) qubits. U is the better of two cheap splits: the K-1
-lowest-degree qubits as singletons (when the rest fits the cap) and a
-balanced split in qubit order. The cut of every candidate peel t is one
-vector op over the even masks, win[-1] - win[0::2] - win[-1::-2] (the
-second term is win[t], the third win[V \\ t]), so the admissible
-peels T are found before any level runs. Levels 2..K-1 then take the
-packed-key minimum over T only, one np.minimum per peel over the strided
-view of the states that contain it, and the last level is one gather over
-T. Skipping the other peels changes nothing on the reconstruction path: a
-peel that is optimal at a state on the path extends to an optimal split,
-all of whose parts lie in T, so the path's costs are exact and its
-lowest optimal peel is the dense schedule's. Every other entry of a
-bounded level may sit above its true optimum (never below it).
+A partition solve with K >= 3 first tries a pruned search over admissible
+peels. Let U be the cost of any feasible K-split within the cap. Every part
+P of an optimal split then has cut(P, V \\ P) <= OPT <= U and at most
+min(cap, n-K+1) qubits. U comes from the better of two cheap splits, the
+K-1 lowest-degree qubits as singletons (when the rest fits the cap) and a
+balanced split in qubit order, improved by single-qubit moves and swaps
+that stay within the cap. The cut of every candidate peel t is one vector
+op over the even masks, win[-1] - win[0::2] - win[-1::-2] (the second
+term is win[t], the third win[V \\ t]), so the admissible peels T are found
+before anything else runs.
 
-``plan`` picks the schedule from (win, K, cap) by counted work, never by
-measured time. The dense schedule costs 3^(n-1) pair-ops per level. The
-bounded one updates the sum over t in T of 2^(n-1-|t|) states per level,
-each charged PEEL_ELEMENT_COST pair-ops, plus PEEL_CHARGE pair-ops per peel
-for its numpy calls. Both constants were fitted on a 2-core Xeon VM, where
-a dense pair-op takes about 2.5 ns, a bounded update about 5 ns and a
-peel's calls about 10 us. Full tables, K = 2 and solves whose
-(K-2)*3^(n-1) is below BOUND_FLOOR stay dense without computing U.
+The search builds ascending tuples of K-1 pairwise-disjoint peels from T,
+one peel at a time, and the rest (the part holding qubit 0) is the K-th
+part. A prefix t1..tj cuts win[V] - win[V \\ (t1|..|tj)] - sum of win[ti];
+adding a peel only splits the rest further, so that cost never drops and
+a prefix above U cannot lead to an optimal split. Neither can one whose
+rest cannot fit the cap in the parts still to come. The answer is the
+cheapest full tuple, the lexicographically first on a tie, and it is the
+dense schedule's path. Parts are unordered, and every state on a path
+holds qubit 0, so any order of an optimal split's peels is an optimal
+peel sequence. The dense schedule follows the lowest optimal peel at each
+level, which yields the lexicographically first optimal sequence. A
+sorted sequence is never lexicographically after its other orders, so
+that first sequence is ascending: the search's tuple.
+
+When the search gives up, a level schedule runs. The bounded-peel
+schedule takes, at levels 2..K-1, the packed-key minimum over T only, one
+np.minimum per peel over the strided view of the states that contain it,
+and its last level is one gather over T. Skipping the other peels changes
+nothing on the reconstruction path: a peel that is optimal at a state on
+the path extends to an optimal split, all of whose parts lie in T, so
+the path's costs are exact and its lowest optimal peel is the dense
+schedule's. Every other entry of a bounded level may sit above its true
+optimum (never below it).
+
+``plan`` routes a solve by counted work, never by measured time. The
+dense schedule costs 3^(n-1) pair-ops per level. The bounded one updates
+the sum over t in T of 2^(n-1-|t|) states per level, each charged
+PEEL_ELEMENT_COST pair-ops, plus PEEL_CHARGE pair-ops per peel for its
+numpy calls. A search cell (one prefix and one later peel) is charged
+SEARCH_CELL_COST pair-ops. The search may examine cells worth half the
+cheaper level schedule, so a search that gives up costs at most about
+half of that schedule again. It gives up, before examining them, once the
+cells of the next extension pass that budget, and also once more than
+2^(n-1) prefixes of one length survive; it examines cells in chunks of at
+most 2^(n-1), so its memory stays within a few arrays of 2^(n-1)
+entries. The constants were fitted on a 2-core Xeon VM, where a dense
+pair-op takes about 2.5-3 ns, a bounded update about 5 ns, a peel's calls
+about 10 us and a search cell about 20-25 ns. Full tables, K = 2 and
+solves whose (K-2)*3^(n-1) is below BOUND_FLOOR stay dense without
+computing U.
 
 A full table solves every mask. The masks whose lowest qubit is b are the
 same problem on qubits b..n-1, so the full table is n runs of the odd-mask
@@ -70,7 +96,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import QcpartError, SizeCapError
 
 INF = 1 << 62  # cost of an unreachable state
 _KEY_INF = 1 << 61  # packed key of an unreachable term; two of them fit in int64
@@ -79,24 +105,27 @@ LOW_BITS = 10
 BOUND_FLOOR = 3 ** 11  # fewer pair-ops than this: dense, no bound computed
 PEEL_ELEMENT_COST = 2  # dense pair-ops per state a bounded peel updates
 PEEL_CHARGE = 4096  # dense pair-ops charged per peel and level
+SEARCH_CELL_COST = 8  # dense pair-ops charged per cell the search examines
 
 
 def _internal_weights(w: np.ndarray) -> np.ndarray:
     """win[m], the total weight of the pairs inside mask m, for all 2^n
-    masks: win[m | 1 << i] = win[m] + sum of w[j, i] over j in m < 2^i."""
-    win = np.zeros(1, dtype=np.int64)
-    for i in range(w.shape[0]):
-        row = np.zeros(1, dtype=np.int64)
+    masks: win[m | 1 << i] = win[m] + row[m] for m < 2^i, where row[m] is
+    the sum of w[j, i] over j in m. Both fill by doubling, in place."""
+    n = w.shape[0]
+    win = np.zeros(1 << n, dtype=np.int64)
+    row = np.zeros(1 << n >> 1, dtype=np.int64)
+    for i in range(1, n):
         for j in range(i):
-            row = np.concatenate([row, row + w[j, i]])
-        win = np.concatenate([win, win + row])
+            np.add(row[:1 << j], w[j, i], out=row[1 << j:2 << j])
+        np.add(win[:1 << i], row[:1 << i], out=win[1 << i:2 << i])
     return win
 
 
 def _popcounts(bits: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.int64)
-    for _ in range(bits):
-        pc = np.concatenate([pc, pc + 1])
+    pc = np.zeros(1 << bits, dtype=np.int64)
+    for b in range(bits):
+        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
     return pc
 
 
@@ -167,51 +196,166 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool) -> l
     return levels
 
 
-def _upper_bound(win: np.ndarray, kmax: int, cap: int) -> int | None:
-    """Cost of the better of two cheap feasible kmax-splits within the cap, or
-    None when neither is feasible: the kmax - 1 lowest-degree qubits as
-    singletons (when the rest fits the cap), and a balanced split in qubit
-    order. A qubit's degree is win[V] - win[V without it]."""
+def _improve(w: np.ndarray, labels: np.ndarray, kmax: int, cap: int) -> np.ndarray:
+    """Local search from a feasible split, as a part label per qubit: move
+    one qubit to another part, or else swap two qubits of different parts,
+    whichever cuts the most weight off (the first such move on a tie), while
+    one cuts any off. A move keeps its old part non-empty and its new part
+    within the cap; a swap keeps every size."""
+    n = labels.size
+    while True:
+        conn = w @ (labels[:, None] == np.arange(kmax))  # weight from each qubit to each part
+        sizes = np.bincount(labels, minlength=kmax)
+        gain = conn - conn[np.arange(n), labels][:, None]
+        move = np.where((sizes[labels] > 1)[:, None] & (sizes < cap), gain, 0)
+        best = int(move.argmax())
+        if move.flat[best] > 0:
+            labels[best // kmax] = best % kmax
+            continue
+        swap = gain[:, labels]  # swap q in part a with r in part b:
+        swap = swap + swap.T - 2 * w  # gain[q, b] + gain[r, a] - 2 w[q, r]
+        best = int(swap.argmax())
+        if swap.flat[best] <= 0:  # a pair in one part gains -2 w[q, r] <= 0
+            return labels
+        q, r = divmod(best, n)
+        labels[q], labels[r] = labels[r], labels[q]
+
+
+def _upper_bound(win: np.ndarray, kmax: int, cap: int) -> int:
+    """Cost of a cheap feasible kmax-split within the cap (kmax * cap >= n):
+    the better of two splits, the kmax - 1 lowest-degree qubits as
+    singletons (when the rest fits the cap) and a balanced split in qubit
+    order, improved by ``_improve``."""
     n = win.size.bit_length() - 1
-    full = win.size - 1
-    costs = []
+    bit = 1 << np.arange(n)
+    w = win[bit[:, None] | bit]  # w[i, j] = win[{i, j}], 0 on the diagonal
+    starts = [np.repeat(np.arange(kmax), [len(q) for q in np.array_split(np.arange(n), kmax)])]
     if n - kmax + 1 <= cap:
-        deg = win[-1] - win[full ^ (1 << np.arange(n))]
-        rest = full ^ int((1 << np.argsort(deg, kind="stable")[:kmax - 1]).sum())
-        costs.append(int(win[-1] - win[rest]))
-    if -(-n // kmax) <= cap:
-        parts = [int((1 << q).sum()) for q in np.array_split(np.arange(n), kmax)]
-        costs.append(int(win[-1] - win[parts].sum()))
-    return min(costs, default=None)
+        starts.append(np.zeros(n, dtype=np.int64))
+        starts[-1][np.argsort(w.sum(0), kind="stable")[:kmax - 1]] = np.arange(1, kmax)
+
+    def cost(labels: np.ndarray) -> int:
+        return int(w[labels[:, None] != labels].sum()) // 2
+
+    return cost(_improve(w, min(starts, key=cost), kmax, cap))
 
 
-def _admissible_peels(win: np.ndarray, kmax: int, cap: int) -> np.ndarray | None:
+def _admissible_peels(win: np.ndarray, kmax: int, cap: int, bound: int) -> tuple:
     """Every peel t (a mask over qubits 1..n-1 of ``win``, shifted down one
-    bit) that can be a part of an optimal kmax-split within the cap, in
-    ascending order: cut(t, V \\ t) at most ``_upper_bound`` and at most
-    min(cap, n-kmax+1) qubits. None when there is no bound."""
+    bit) that can be a part of a kmax-split within the cap that costs at
+    most ``bound``, in ascending order, and its qubit count: cut(t, V \\ t)
+    = win[V] - win[t] - win[V \\ t] at most ``bound`` and 1..min(cap,
+    n-kmax+1) qubits."""
+    bits = win.size.bit_length() - 2
+    peels = np.flatnonzero(win[0::2] + win[-1::-2] >= win[-1] - bound)
+    sizes = _popcounts(bits)[peels]
+    keep = (sizes >= 1) & (sizes <= min(cap, bits + 2 - kmax))
+    return peels[keep], sizes[keep]
+
+
+def _search(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray, sizes: np.ndarray,
+            bound: int, budget: int, most: int) -> list | None:
+    """The reconstruction path (see ``solve``) of the cheapest split into
+    kmax - 1 of ``peels`` (of ``sizes`` qubits) plus a rest that holds qubit
+    0 and fits the cap,
+    where ``bound`` is the cost of some such split; on a tie the
+    lexicographically first ascending tuple of peels wins. Tuples grow one
+    peel at a time, each prefix t1 < .. < tj extended by every later peel
+    (a cell). A prefix cuts win[V] - win[V \\ (t1|..|tj)] - sum of win[ti],
+    which never drops as peels are added, so a prefix above ``bound`` is
+    dropped, and so is one whose rest cannot fit the cap in the parts left.
+    Returns None once the cells to examine exceed ``budget`` or the
+    surviving prefixes of one length exceed ``most``. Cells are examined in
+    chunks of at most 2^(n-1)."""
+    bits = win.size.bit_length() - 2
+    size = 1 << bits
+    wodd, weven = win[1::2], win[0::2][peels]
+    # prefixes: the index of the last peel, the union of the peels, its qubit
+    # count, the sum of their win[ti]; the first extension starts from the
+    # one empty prefix
+    last = np.full(1, -1)
+    union, used, inner = (np.zeros(1, dtype=np.int64) for _ in range(3))
+    steps = []  # per extension, for each surviving prefix: (parent prefix, last peel)
+    best = None  # (cost, prefix, peel) of the cheapest full tuple
+    for depth in range(1, kmax):
+        final = depth == kmax - 1
+        counts = peels.size - 1 - last
+        ends = np.cumsum(counts)
+        budget -= int(ends[-1])
+        if budget < 0:
+            return None
+        least = bits + 1 - cap * (kmax - depth)  # qubits to peel so that the rest fits
+        kept, later, found = 0, 0, []
+        start = 0
+        while start < counts.size:  # chunks of at most 2^(n-1) cells
+            base = int(ends[start] - counts[start])
+            stop = max(int(np.searchsorted(ends, base + size, side="right")), start + 1)
+            c = counts[start:stop]
+            pref = np.repeat(np.arange(start, stop), c)
+            first = ends[start:stop] - c - last[start:stop] - 1  # cell index less peel index
+            j = np.arange(base, int(ends[stop - 1])) - np.repeat(first, c)
+            t, u = peels[j], union[pref]
+            ok = (u & t) == 0
+            u |= t
+            s = inner[pref] + weven[j]
+            cost = win[-1] - wodd[(size - 1) ^ u] - s
+            ok &= cost <= bound
+            if least > 0:  # else any rest fits
+                ok &= used[pref] + sizes[j] >= least
+            i = np.flatnonzero(ok)
+            if final and i.size:
+                i = int(i[np.argmin(cost[i])])
+                if best is None or cost[i] < best[0]:
+                    best = int(cost[i]), int(pref[i]), int(j[i])
+            elif not final:
+                kept += i.size
+                later += int((peels.size - 1 - j[i]).sum())  # the next extension's cells
+                if kept > most or later > budget:
+                    return None
+                found.append((pref[i], j[i], u[i], used[pref[i]] + sizes[j[i]], s[i]))
+            start = stop
+        if not final:
+            if not kept:
+                break
+            pref, last, union, used, inner = (np.concatenate(a) for a in zip(*found))
+            steps.append((pref, last))
+    if best is None:
+        raise QcpartError(f"no split within the cost {bound} of a feasible split")
+    _, p, j = best
+    parts = [int(peels[j]) << 1]
+    for pref, last in reversed(steps):
+        parts.append(int(peels[last[p]]) << 1)
+        p = int(pref[p])
+    parts.reverse()
+    state = win.size - 1
+    inside = int(win[state ^ sum(parts)]) + sum(int(win[t]) for t in parts)
+    path = []
+    for t in parts:  # a state's cost: its weight less the weight inside its parts
+        path.append((int(win[state]) - inside, t))
+        state ^= t
+        inside -= int(win[t])
+    return path
+
+
+def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple[str, object]:
+    """The schedule of a solve, with what it needs, chosen by counted work:
+    ("search", path) when ``_search`` finishes within a budget of cells
+    worth half the cheaper level schedule's work, else ("bounded", peels)
+    when the bounded schedule does less work than the dense one, else
+    ("dense", None)."""
+    bits = win.size.bit_length() - 2
+    dense = (kmax - 2) * 3 ** bits
+    if full_table or kmax < 3 or dense < BOUND_FLOOR:
+        return "dense", None
     bound = _upper_bound(win, kmax, cap)
-    if bound is None:
-        return None
-    bits = win.size.bit_length() - 2
-    cut = win[-1] - win[0::2] - win[-1::-2]  # win[V] - win[t] - win[V \ t]
-    pc = _popcounts(bits)
-    return np.flatnonzero((cut <= bound) & (pc >= 1) & (pc <= min(cap, bits + 2 - kmax)))
-
-
-def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> np.ndarray | None:
-    """The admissible peels when the bounded schedule does less counted
-    work than the dense one; None to run the dense schedule."""
-    bits = win.size.bit_length() - 2
-    dense = 3 ** bits
-    if full_table or kmax < 3 or (kmax - 2) * dense < BOUND_FLOOR:
-        return None
-    peels = _admissible_peels(win, kmax, cap)
-    if peels is None:
-        return None
-    updates = int((1 << (bits - _popcounts(bits)[peels])).sum())
-    work = PEEL_ELEMENT_COST * updates + PEEL_CHARGE * peels.size
-    return peels if work < dense else None
+    peels, sizes = _admissible_peels(win, kmax, cap, bound)
+    updates = int((1 << (bits - sizes)).sum())
+    bounded = (kmax - 2) * (PEEL_ELEMENT_COST * updates + PEEL_CHARGE * peels.size)
+    path = _search(win, kmax, cap, peels, sizes, bound,
+                   min(dense, bounded) // (2 * SEARCH_CELL_COST), 1 << bits)
+    if path is not None:
+        return "search", path
+    return ("bounded", peels) if bounded < dense else ("dense", None)
 
 
 def _peel_views(t: int, bits: int) -> tuple:
@@ -264,21 +408,35 @@ def _bounded_levels(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray) -> 
     return levels
 
 
-def solve(w: np.ndarray, kmax: int, cap: int, *,
-          full_table: bool = False) -> tuple[list, list]:
-    """Run the level DP over an n x n weight array. ``cap`` bounds part sizes
-    (pass n for unconstrained). ``full_table`` computes every mask at every
-    level instead of only the states a final reconstruction can reach.
+def walk(levels: list, shift: int) -> list:
+    """The reconstruction path through level arrays (``(cost, peeled
+    submask)`` pairs for levels 2..kmax, mask m at index m >> shift): from
+    the full mask at level kmax down to level 2, each state's cost and
+    peel, the next state being the state without its peel."""
+    mask = (levels[-1][0].size << shift) - 1 if levels else 0
+    path = []
+    for cost, choice in reversed(levels):
+        path.append((cost.item(mask >> shift), choice.item(mask >> shift)))
+        mask ^= path[-1][1]
+    return path
 
-    Returns ``(cost_levels, choice_levels)``: for k >= 2, entry k is an int64
-    array of costs (INF when unreachable) or of peeled submasks. Levels 0
-    and 1 are None. A full table is indexed by mask, and every entry is
-    exact. Otherwise level k holds the odd masks, indexed by mask >> 1, and
-    level kmax holds only the full mask; only the full mask's cost and the
-    back-pointers along its reconstruction path are guaranteed, since
-    ``plan`` may pick the bounded schedule."""
+
+def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> list:
+    """Run the DP over an n x n weight array. ``cap`` bounds part sizes
+    (pass n for unconstrained).
+
+    A partition solve returns its reconstruction path: for each level from
+    kmax down to 2, the pair (cost, peel), where the level's state is the
+    full mask without the peels above it, cost is that state's optimum (INF
+    when unreachable) and peel is its lowest optimal peeled submask (0 when
+    unreachable). The rest left after the last peel is the final part. The
+    schedule is ``plan``'s.
+
+    With ``full_table`` it returns the levels of every mask instead,
+    ``(cost, peeled submask)`` int64 array pairs for levels 2..kmax indexed
+    by mask, with every entry exact."""
     if kmax < 2:  # one part: no level to solve, and no 2^n weight array
-        return [None, None], [None, None]
+        return []
     n = w.shape[0]
     total = sum(sum(row[i + 1:]) for i, row in enumerate(w.tolist()))
     # |costs| and |win| <= total, so finite packed sums stay below _KEY_REACH
@@ -288,17 +446,18 @@ def solve(w: np.ndarray, kmax: int, cap: int, *,
             f"total weight {total} over {n} qubits exceeds the DP's 64-bit key range"
         )
     win = _internal_weights(w)
-    peels = plan(win, kmax, cap, full_table)
+    schedule, found = plan(win, kmax, cap, full_table)
+    if schedule == "search":
+        return found
+    if schedule == "bounded":
+        return walk(_bounded_levels(win, kmax, cap, found), 1)
     if not full_table:
-        levels = (_odd_levels(win, kmax, cap, True) if peels is None
-                  else _bounded_levels(win, kmax, cap, peels))
-        return [None, None] + [c for c, _ in levels], [None, None] + [s for _, s in levels]
+        return walk(_odd_levels(win, kmax, cap, True), 1)
     size = 1 << n
-    costs = [np.full(size, INF) for _ in range(2, kmax + 1)]
-    choices = [np.zeros(size, dtype=np.int64) for _ in range(2, kmax + 1)]
+    levels = [(np.full(size, INF), np.zeros(size, dtype=np.int64)) for _ in range(2, kmax + 1)]
     for b in range(n):
         sl = slice(1 << b, None, 2 << b)  # masks whose lowest qubit is b
-        for (c, s), cf, sf in zip(_odd_levels(win[::1 << b], kmax, cap, False), costs, choices):
+        for (c, s), (cf, sf) in zip(_odd_levels(win[::1 << b], kmax, cap, False), levels):
             cf[sl] = c
             sf[sl] = s << b
-    return [None, None] + costs, [None, None] + choices
+    return levels

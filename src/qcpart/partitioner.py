@@ -138,12 +138,13 @@ class DpTable:
     k=1 and for unreachable states.
     """
 
-    def __init__(self, n: int, k_max: int, cap: int, cost_levels: list, choice_levels: list):
+    def __init__(self, n: int, k_max: int, cap: int, levels: list):
         self.n = n
         self.k_max = k_max
         self.cap = cap
-        self._cost = cost_levels
-        self._choice = choice_levels
+        # per-level arrays, indexed by k; levels 0 and 1 are None
+        self._cost = [None, None] + [c for c, _ in levels]
+        self._choice = [None, None] + [s for _, s in levels]
 
     def _check(self, mask: int, k: int) -> None:
         if not 1 <= k <= self.k_max:
@@ -240,32 +241,28 @@ def check_width(n: int, cap: int | None = None) -> None:
         )
 
 
-def _reconstruct(n: int, k: int, cost_levels: list, choice_levels: list,
-                 shift: int) -> tuple[int, list[QubitSubset]]:
-    """Cost of the full mask at level k and its parts, followed down the
-    back-pointers of ``dpcore.solve``'s level arrays; mask m sits at index
-    m >> shift (0 for a full table, 1 for the odd-mask levels)."""
+def _reconstruct(n: int, path: list) -> tuple[int, list[QubitSubset]]:
+    """Cost and parts of a reconstruction path from ``dpcore.solve`` or
+    ``dpcore.walk``: the peel of every level, then the rest."""
     mask = (1 << n) - 1
-    if k == 1:
+    if not path:  # one part
         return 0, [mask]
-    cost = cost_levels[k].item(mask >> shift)
-    if cost >= dpcore.INF:
+    if path[0][0] >= dpcore.INF:
         raise QcpartError("no feasible partition found for a feasible problem")
     parts = []
-    for level in range(k, 1, -1):
-        s = choice_levels[level].item(mask >> shift)
+    for _, s in path:
         if s == 0:  # a reachable state always peels a non-empty part
             raise QcpartError("memo table has no back-pointer for a reachable state")
         parts.append(s)
         mask ^= s
     parts.append(mask)
-    return cost, parts
+    return path[0][0], parts
 
 
 def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
-           full_table: bool) -> tuple[int, list, list]:
+           full_table: bool) -> tuple[int, list]:
     """Check the problem, then run ``dpcore.solve``. Returns the effective
-    part cap and the cost and choice levels."""
+    part cap and the solve's path, or its levels for a full table."""
     n = w.n
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
@@ -280,7 +277,7 @@ def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
                 f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
-    return (effective_cap, *dpcore.solve(w.m, k, effective_cap, full_table=full_table))
+    return effective_cap, dpcore.solve(w.m, k, effective_cap, full_table=full_table)
 
 
 def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
@@ -294,25 +291,33 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     many qubits. ``keep_table`` retains the full memo table on the result.
     ``cap`` overrides the qubit-count guardrail (default 24).
 
-    Without ``keep_table`` only the states a reconstruction can reach are
-    solved, and for K >= 3 ``dpcore.plan`` may scan only the peels whose
-    cut is at most the cost of a cheap feasible split (and whose size is at
-    most min(cap, n-K+1)): no part of an optimal split can be any other.
-    It does so when that counted work is below the dense scan's 3^(n-1)
-    pair-ops per level. Either way the cost and the assignment are the
-    dense DP's. With ``keep_table`` the full table is always solved densely.
+    Without ``keep_table`` the solve returns only the reconstruction path,
+    and for K >= 3 ``dpcore.plan`` first searches the admissible peels:
+    those whose cut is at most the cost U of a cheap feasible split and
+    whose size is at most min(cap, n-K+1), since no part of an optimal
+    split can be any other. The search extends ascending tuples of
+    disjoint peels, drops every prefix that already cuts more than U, and
+    returns the cheapest tuple, the lexicographically first on a tie,
+    which is the path the dense DP's tie rule follows. When the cells it
+    would examine exceed a budget counted from the level schedules' work,
+    the solve runs the bounded-peel levels or the dense scan instead,
+    whichever counts less work. Either way the cost and the assignment are
+    the dense DP's. With ``keep_table`` the full table is always solved
+    densely.
     """
-    effective_cap, costs, choices = _solve(w, k, max_part_size, cap, keep_table)
+    effective_cap, solved = _solve(w, k, max_part_size, cap, keep_table)
     n = w.n
-    cost, parts = _reconstruct(n, k, costs, choices, 0 if keep_table else 1)
+    cost, parts = _reconstruct(n, dpcore.walk(solved, 0) if keep_table else solved)
     assignment = PartitionAssignment.from_parts(n, parts)
+    if max(assignment.sizes()) > effective_cap:
+        raise QcpartError(f"DP assignment has a part above the cap of {effective_cap} qubits")
     recount = assignment_cost(assignment, w)
     if cost != recount:
         raise QcpartError(f"DP cost {cost} differs from its assignment's recounted cost {recount}")
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=DpTable(n, k, effective_cap, costs, choices) if keep_table else None,
+        table=DpTable(n, k, effective_cap, solved) if keep_table else None,
         max_part_size=max_part_size,
     )
 

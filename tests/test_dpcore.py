@@ -1,30 +1,42 @@
 """The vectorized DP engine against the scalar reference loop, and the
-bounded-peel schedule against the dense one."""
+bounded-peel schedule and the pruned search against the dense schedule."""
+
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from qcpart import SizeCapError, WeightMatrix, dp_partition, dp_table, qc_to_bigraph, weight_matrix
+from qcpart import (QcpartError, SizeCapError, WeightMatrix, dp_partition, dp_table, gen_qft,
+                    qc_to_bigraph, weight_matrix)
 from qcpart import dpcore
 from qcpart.partitioner import DpTable, _reconstruct
 from conftest import build_random_circuit
 from dp_reference import reference_solve
 
 
-def _levels(levels: list) -> tuple[list, list]:
-    """``dpcore.solve``'s (cost_levels, choice_levels) from (cost, choice) pairs."""
-    return [None, None] + [c for c, _ in levels], [None, None] + [s for _, s in levels]
+def _dense(w: np.ndarray, kmax: int, cap: int) -> list:
+    return dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True)
 
 
-def _dense(w: np.ndarray, kmax: int, cap: int) -> tuple[list, list]:
-    return _levels(dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True))
-
-
-def _bounded(w: np.ndarray, kmax: int, cap: int) -> tuple[list, list]:
-    """The bounded schedule over every admissible peel, whatever ``plan``
-    would pick."""
+def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
+    """``win``, the upper bound, every admissible peel and its qubit count,
+    whatever ``plan`` would pick."""
     win = dpcore._internal_weights(w)
-    return _levels(dpcore._bounded_levels(win, kmax, cap, dpcore._admissible_peels(win, kmax, cap)))
+    bound = dpcore._upper_bound(win, kmax, cap)
+    return win, bound, *dpcore._admissible_peels(win, kmax, cap, bound)
+
+
+def _bounded(win: np.ndarray, peels: np.ndarray, kmax: int, cap: int) -> list:
+    """The bounded schedule's reconstruction path."""
+    return dpcore.walk(dpcore._bounded_levels(win, kmax, cap, peels), 1)
+
+
+def _searched(win: np.ndarray, bound: int, peels: np.ndarray, sizes: np.ndarray, kmax: int,
+              cap: int, budget: int = 1 << 18) -> list | None:
+    """The pruned search's path, or None past ``budget`` cells or surviving
+    prefixes (sparse circuits at 6-13 qubits can need millions)."""
+    return dpcore._search(win, kmax, cap, peels, sizes, bound, budget, budget)
 
 
 def _random_w(rng, n: int, gates: int) -> np.ndarray:
@@ -35,13 +47,14 @@ def test_engine_matches_scalar_reference():
     # n = 12 and 13 exceed dpcore.LOW_BITS + 1, so the high-bit block loop runs;
     # few gates leave many zero weights, so many splits tie on cost
     rng = np.random.default_rng(404)
+    searched = 0
     for n in range(2, 14):
         for _ in range(3 if n <= 11 else 1):
             w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
             kmax = int(rng.integers(2, min(n, 5) + 1))
             for cap in (n, int(rng.integers(-(-n // kmax), n))):
                 ref_cost, ref_choice = reference_solve(w, kmax, cap, full_table=True)
-                table = DpTable(n, kmax, cap, *dpcore.solve(w, kmax, cap, full_table=True))
+                table = DpTable(n, kmax, cap, dpcore.solve(w, kmax, cap, full_table=True))
                 for k in range(2, kmax + 1):
                     for mask in range(1, 1 << n):
                         cost, choice = table.cost_at(mask, k), table.choice_at(mask, k)
@@ -52,53 +65,106 @@ def test_engine_matches_scalar_reference():
                         assert choice is None or type(choice) is int
                 # the dense schedule is exact at every odd mask, indexed by mask >> 1
                 ref_cost, ref_choice = reference_solve(w, kmax, cap)
-                costs, choices = _dense(w, kmax, cap)
+                levels = _dense(w, kmax, cap)
                 for k in range(2, kmax + 1):
+                    costs, choices = levels[k - 2]
                     for mask in range(1, 1 << n, 2) if k < kmax else ((1 << n) - 1,):
-                        cost = costs[k].item(mask >> 1)
+                        cost = costs.item(mask >> 1)
                         assert (cost if cost < dpcore.INF else None) == ref_cost[k].get(mask), \
                             (n, kmax, cap, False, k, mask)
-                        assert (choices[k].item(mask >> 1) or None) == ref_choice[k].get(mask), \
+                        assert (choices.item(mask >> 1) or None) == ref_choice[k].get(mask), \
                             (n, kmax, cap, False, k, mask)
-                # the bounded schedule and the planned solve are exact on the
-                # reconstruction path: the full mask's cost, then every state's
-                # cost and back-pointer down the path
-                for schedule in (_bounded(w, kmax, cap), dpcore.solve(w, kmax, cap)):
-                    costs, choices = schedule
+                # the bounded schedule, the search and the planned solve are
+                # exact on the reconstruction path: every state's cost and
+                # back-pointer from the full mask down
+                win, bound, peels, sizes = _peels(w, kmax, cap)
+                paths = [_bounded(win, peels, kmax, cap), dpcore.solve(w, kmax, cap)]
+                if kmax >= 3:
+                    paths.append(_searched(win, bound, peels, sizes, kmax, cap))
+                    searched += paths[-1] is not None
+                for path in filter(None, paths):
+                    assert len(path) == kmax - 1
                     mask = (1 << n) - 1
-                    for k in range(kmax, 1, -1):
+                    for k, (cost, peel) in zip(range(kmax, 1, -1), path):
                         where = (n, kmax, cap, k, mask)
-                        assert costs[k].item(mask >> 1) == ref_cost[k][mask], where
-                        assert choices[k].item(mask >> 1) == ref_choice[k][mask], where
-                        mask ^= ref_choice[k][mask]
+                        assert cost == ref_cost[k][mask], where
+                        assert peel == ref_choice[k][mask], where
+                        assert type(cost) is int and type(peel) is int
+                        mask ^= peel
+    assert searched >= 25
 
 
 def test_bounded_schedule_matches_dense_seeded():
     # 1 000 seeded cases: tight, loose and no part caps; the sparse circuits
-    # leave many qubits idle and many weights equal, so splits tie on cost
+    # leave many qubits idle and many weights equal, so splits tie on cost.
+    # The search runs on each case with K >= 3 too, within a budget.
     rng = np.random.default_rng(2024)
+    searched = 0
     for case in range(1000):
         n = int(rng.integers(2, 15 if case % 10 == 0 else 12))
         kmax = min(int(rng.integers(3, 7)), n)
         w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
         tight = -(-n // kmax)
         cap = (n, tight, int(rng.integers(tight, n + 1)))[case % 3]
-        dense, bounded = _dense(w, kmax, cap), _bounded(w, kmax, cap)
-        assert _reconstruct(n, kmax, *bounded, 1) == _reconstruct(n, kmax, *dense, 1), \
-            (case, n, kmax, cap)
+        dense = _reconstruct(n, dpcore.walk(_dense(w, kmax, cap), 1))
+        win, bound, peels, sizes = _peels(w, kmax, cap)
+        assert _reconstruct(n, _bounded(win, peels, kmax, cap)) == dense, (case, n, kmax, cap)
+        path = _searched(win, bound, peels, sizes, kmax, cap) if kmax >= 3 else None
+        if path is not None:
+            searched += 1
+            assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
+    assert searched >= 850
+
+
+def test_search_matches_dense_seeded():
+    # 12-16 qubits, K=3..6: sparse tie-heavy and dense random circuits with
+    # no, tight and loose caps, and qft, whose complete graph costs
+    # C(n,2) - C(n-K+1,2) by peeling K-1 single qubits
+    rng = np.random.default_rng(12)
+    searched = 0
+    for case in range(48):
+        n = int(rng.choice([12, 13, 14, 15, 16], p=[0.3, 0.3, 0.2, 0.1, 0.1]))
+        kmax = int(rng.integers(3, 7))
+        qft = case % 8 == 0
+        if qft:
+            w = weight_matrix(qc_to_bigraph(gen_qft(n))).m
+        else:
+            w = _random_w(rng, n, int(rng.choice([n, 2 * n, 20 * n])))
+        tight = -(-n // kmax)
+        cap = n if qft else (n, tight, int(rng.integers(tight + 1, n)))[case % 3]
+        path = _searched(*_peels(w, kmax, cap), kmax, cap, 1 << 20)
+        if path is None:
+            continue
+        searched += 1
+        dense = _reconstruct(n, dpcore.walk(_dense(w, kmax, cap), 1))
+        assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
+        if qft:
+            assert path[0][0] == comb(n, 2) - comb(n - kmax + 1, 2), (case, n, kmax)
+    assert searched >= 32
+
+
+def _job(seed: int, n: int, gates: int) -> np.ndarray:
+    return _random_w(np.random.default_rng(seed), n, gates)
 
 
 def test_plan_routes_schedules(monkeypatch):
     rng = np.random.default_rng(0)
     wide = dpcore._internal_weights(_random_w(rng, 16, 320))
     # a dense random circuit: the optimum peels lone qubits, so few peels are
-    # admissible and the bounded schedule is far cheaper
-    peels = dpcore.plan(wide, 4, 16, False)
-    assert peels is not None and 0 < peels.size < (1 << 15) // 100
-    assert dpcore.plan(wide, 4, 16, True) is None  # full tables stay dense
-    assert dpcore.plan(wide, 2, 16, False) is None  # K=2 stays dense
-    # a tight cap admits too many peels: the counted work sends it to dense
-    assert dpcore.plan(wide, 4, 4, False) is None
+    # admissible and the search examines few cells
+    assert dpcore.plan(wide, 4, 16, False)[0] == "search"
+    qft = dpcore._internal_weights(weight_matrix(qc_to_bigraph(gen_qft(14))).m)
+    assert dpcore.plan(qft, 3, 14, False)[0] == "search"
+    assert dpcore.plan(wide, 4, 16, True) == ("dense", None)  # full tables stay dense
+    assert dpcore.plan(wide, 2, 16, False) == ("dense", None)  # K=2 stays dense
+    # a tight cap admits too many peels for the search's budget and for the
+    # bounded schedule: the counted work sends it to dense
+    assert dpcore.plan(wide, 4, 4, False) == ("dense", None)
+    # with the search out of budget, the bounded schedule still takes the wide case
+    monkeypatch.setattr(dpcore, "_search", lambda *args: None)
+    schedule, peels = dpcore.plan(wide, 4, 16, False)
+    assert schedule == "bounded" and 0 < peels.size < (1 << 15) // 100
+    monkeypatch.undo()
 
     def no_bound(*args):
         raise AssertionError("the bound was computed below the floor")
@@ -106,7 +172,65 @@ def test_plan_routes_schedules(monkeypatch):
     monkeypatch.setattr(dpcore, "_upper_bound", no_bound)
     small = dpcore._internal_weights(_random_w(rng, 10, 200))
     assert (3 - 2) * 3 ** 9 < dpcore.BOUND_FLOOR
-    assert dpcore.plan(small, 3, 10, False) is None
+    assert dpcore.plan(small, 3, 10, False) == ("dense", None)
+
+
+def test_capped_bound_routes_the_search():
+    # the capped optimum equals the uncapped one, 3; the rest cannot hold
+    # n-K+1 = 13 qubits, so only a split within the cap bounds the optimum
+    w = _job(5, 16, 32)
+    win = dpcore._internal_weights(w)
+    assert dpcore._upper_bound(win, 4, 10) <= 4
+    schedule, path = dpcore.plan(win, 4, 10, False)
+    assert schedule == "search" and path[0][0] == 3
+    result = dp_partition(WeightMatrix(w), 4, max_part_size=10)
+    assert result.cost == 3 and max(result.assignment.sizes()) <= 10
+
+
+def _plan_peak(monkeypatch, win: np.ndarray, kmax: int, cap: int) -> tuple:
+    """``plan``'s schedule, what ``_search`` returned and the peak bytes
+    tracemalloc saw while it ran."""
+    searched = []
+    search = dpcore._search
+
+    def spy(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(dpcore, "_search", spy)
+    tracemalloc.start()
+    try:
+        schedule, _ = dpcore.plan(win, kmax, cap, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return schedule, searched, peak
+
+
+@pytest.mark.parametrize("case", ["no two-qubit gates", "loose bound"])
+def test_search_memory_guard(monkeypatch, case):
+    # with every weight 0, or with U forced to 23, over 30 000 of the 2^15
+    # peels are admissible: extending the one-peel prefixes would take about
+    # 5e8 cells, so the search gives up before allocating them and the solve
+    # falls back
+    if case == "no two-qubit gates":
+        w, cap = np.zeros((16, 16), dtype=np.int64), 16
+    else:
+        w, cap = _job(5, 16, 32), 10
+        monkeypatch.setattr(dpcore, "_upper_bound", lambda *args: 23)
+    win = dpcore._internal_weights(w)
+    schedule, searched, peak = _plan_peak(monkeypatch, win, 4, cap)
+    assert searched == [None] and schedule == "dense"
+    assert peak < 32 * (1 << 15) * 8  # 32 arrays of 2^(n-1) int64
+    assert dp_partition(WeightMatrix(w), 4, max_part_size=cap).cost == (0 if cap == 16 else 3)
+
+
+def test_search_rejects_a_bound_below_every_split():
+    w = _job(5, 16, 32)
+    win = dpcore._internal_weights(w)
+    peels, sizes = dpcore._admissible_peels(win, 4, 16, 3)
+    with pytest.raises(QcpartError, match="no split within the cost 2"):
+        dpcore._search(win, 4, 16, peels, sizes, 2, 1 << 62, 1 << 62)
 
 
 def test_packed_key_range_guard():

@@ -430,6 +430,14 @@ def test_dp_recount_mismatch_raises(w4, monkeypatch):
         dp_partition(w4, 3)
 
 
+def test_dp_part_above_the_cap_raises(w4, monkeypatch):
+    # a path that peels qubit 2 alone leaves the other three in one part
+    monkeypatch.setattr(partitioner.dpcore, "solve", lambda *args, **kwargs: [(3, 0b0010)])
+    with pytest.raises(QcpartError, match="above the cap of 2"):
+        dp_partition(w4, 2, max_part_size=2)
+    assert dp_partition(w4, 2).cost == 3
+
+
 # --- assignments ----------------------------------------------------------------
 
 def test_assignment_validation():
