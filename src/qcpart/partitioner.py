@@ -15,8 +15,6 @@ such gate requires one teleportation.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -26,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import dpcore
+from .dpcore import INF
 from .bigraph import WeightMatrix
 from .errors import InfeasiblePartitionError, QcpartError, SizeCapError
 
@@ -34,6 +33,7 @@ QubitSubset = int
 DEFAULT_DP_CAP = 24
 DEFAULT_ORACLE_CAP = 12
 ORACLE_CAP_ENV = "QCPART_ORACLE_CAP"
+_RENDER_ROWS = 1 << 12  # rows per gather in DpTable._rows
 
 
 def subset_of(qubits) -> QubitSubset:
@@ -135,16 +135,22 @@ class DpTable:
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
     or no split satisfying the part-size cap); ``choice_at`` returns None at
-    k=1 and for unreachable states.
+    k=1 and for unreachable states. Each level, level 1 included (cost 0
+    when the mask fits the cap, else INF), is a read-only memoryview, so a
+    read is one range test and one index that yields a plain int.
     """
 
     def __init__(self, n: int, k_max: int, cap: int, levels: list):
         self.n = n
         self.k_max = k_max
         self.cap = cap
-        # per-level arrays, indexed by k; levels 0 and 1 are None
-        self._cost = [None, None] + [c for c, _ in levels]
-        self._choice = [None, None] + [s for _, s in levels]
+        one = np.where(dpcore._popcounts(n) <= cap, 0, INF)
+        levels = [(one, np.zeros_like(one)), *levels]
+        # per-level views, indexed by k; index 0 is None
+        self._cost = [None] + [memoryview(c).toreadonly() for c, _ in levels]
+        self._choice = [None] + [memoryview(s).toreadonly() for _, s in levels]
+        self._end = 1 << n
+        self._header = ["index", "qubits"] + [f"k={k}" for k in range(1, k_max + 1)]
 
     def _check(self, mask: int, k: int) -> None:
         if not 1 <= k <= self.k_max:
@@ -153,58 +159,63 @@ class DpTable:
             raise ValueError(f"mask must be a non-empty subset of {self.n} qubits")
 
     def cost_at(self, mask: int, k: int) -> int | None:
-        self._check(mask, k)
-        if k == 1:
-            return 0 if mask.bit_count() <= self.cap else None
-        cost = self._cost[k].item(mask)
-        return cost if cost < dpcore.INF else None
+        if not (0 < k <= self.k_max and 0 < mask < self._end):
+            self._check(mask, k)
+        cost = self._cost[k][mask]
+        return cost if cost < INF else None
 
     def choice_at(self, mask: int, k: int) -> QubitSubset | None:
-        self._check(mask, k)
+        if not (0 < k <= self.k_max and 0 < mask < self._end):
+            self._check(mask, k)
         # a reachable state always peels a non-empty part; 0 marks the others
-        return None if k == 1 else self._choice[k].item(mask) or None
-
-    def _column(self, k: int) -> list:
-        """``cost_at(mask, k)`` for every mask 1 .. 2^n - 1, read in one ``tolist()``."""
-        if k == 1:
-            return [0 if mask.bit_count() <= self.cap else None for mask in range(1, 1 << self.n)]
-        costs = [c if c < dpcore.INF else None for c in self._cost[k].tolist()]
-        return costs[1:]  # index 0 is the empty mask
+        return self._choice[k][mask] or None
 
     def payload(self) -> dict:
         """``{header, rows}``: one row per subset index (the decimal mask
         value) with its qubit set and one cost per k, None when unreachable."""
-        header = ["index", "qubits"] + [f"k={k}" for k in range(1, self.k_max + 1)]
-        columns = [self._column(k) for k in range(1, self.k_max + 1)]
+        columns = [[c if c < INF else None for c in cost.tolist()[1:]]
+                   for cost in self._cost[1:]]
         labels = _subset_labels(self.n)
         rows = [[mask, labels[mask], *costs]
                 for mask, costs in zip(range(1, 1 << self.n), zip(*columns))]
-        return {"header": header, "rows": rows}
+        return {"header": list(self._header), "rows": rows}
+
+    def _rows(self, label, null: str, head: str, sep: str, tail: str) -> list[str]:
+        """Every row of ``payload()`` as head + its cells joined by sep +
+        tail, in chunks of _RENDER_ROWS rows. The mask and ``label`` of its
+        qubit set, joined by sep, are made once per mask, and each distinct
+        cost once (``null`` when unreachable); a chunk is one gather from
+        those strings and one join."""
+        size = self._end
+        values, code = np.unique(np.array(self._cost[1:]), return_inverse=True)
+        masks = (f"{mask}{sep}{label(s)}" for mask, s in enumerate(_subset_labels(self.n)))
+        pool = np.array([*masks, *(null if v == INF else str(v) for v in values.tolist())],
+                        dtype=object)
+        cells = np.column_stack([np.arange(size), size + code.reshape(self.k_max, size).T])
+        pieces = np.empty((_RENDER_ROWS, 2 * cells.shape[1] + 1), dtype=object)
+        pieces[:, 0::2] = [head] + [sep] * (cells.shape[1] - 1) + [tail]
+        out = []
+        for lo in range(1, size, _RENDER_ROWS):
+            rows = pieces[:size - lo]  # the first _RENDER_ROWS at most
+            rows[:, 1::2] = pool[cells[lo:lo + _RENDER_ROWS]]
+            out.append("".join(rows.ravel().tolist()))
+        return out
 
     def json_string(self) -> str:
-        """``json.dumps(self.payload(), indent=2)``, byte for byte, with each
-        row joined from its rendered cells instead of the standard library's
-        pure-Python indent encoder."""
-        payload = self.payload()
-        header = json.dumps(payload["header"], indent=2).replace("\n", "\n  ")
-        # cells: the index, the encoded qubit set, then each cost as str(int)
-        # or null (no int's str contains "None")
-        rows = ",\n".join(
-            "    [\n      %d,\n      %s,\n      %s\n    ]"
-            % (row[0], encode_basestring_ascii(row[1]),
-               ",\n      ".join(map(str, row[2:])).replace("None", "null"))
-            for row in payload["rows"])
-        return '{\n  "header": ' + header + ',\n  "rows": [\n' + rows + "\n  ]\n}"
+        """``json.dumps(self.payload(), indent=2)``, byte for byte, without
+        the standard library's pure-Python indent encoder."""
+        header = json.dumps(self._header, indent=2).replace("\n", "\n  ")
+        rows = self._rows(encode_basestring_ascii, "null", "    [\n      ", ",\n      ",
+                          "\n    ],\n")
+        rows[-1] = rows[-1][:-2]  # no comma after the last row
+        return "".join(['{\n  "header": ', header, ',\n  "rows": [\n', *rows, "\n  ]\n}"])
 
     def csv_string(self) -> str:
-        """CSV text of ``payload()``; unreachable cells render as N.A."""
-        payload = self.payload()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(payload["header"])
-        for row in payload["rows"]:
-            writer.writerow(["N.A" if c is None else c for c in row])
-        return buf.getvalue()
+        """CSV text of ``payload()``, as ``csv.writer`` writes it: a qubit
+        set is quoted when it holds a comma, and unreachable cells render as
+        N.A."""
+        rows = self._rows(lambda s: f'"{s}"' if "," in s else s, "N.A", "", ",", "\n")
+        return "".join([",".join(self._header), "\n", *rows])
 
 
 @dataclass(frozen=True)
@@ -247,7 +258,7 @@ def _reconstruct(n: int, path: list) -> tuple[int, list[QubitSubset]]:
     mask = (1 << n) - 1
     if not path:  # one part
         return 0, [mask]
-    if path[0][0] >= dpcore.INF:
+    if path[0][0] >= INF:
         raise QcpartError("no feasible partition found for a feasible problem")
     parts = []
     for _, s in path:

@@ -16,7 +16,8 @@ from dp_reference import reference_solve
 
 
 def _dense(w: np.ndarray, kmax: int, cap: int) -> list:
-    return dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True)
+    return dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True,
+                              dpcore._scratch(w.shape[0] - 1))
 
 
 def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
@@ -231,6 +232,21 @@ def test_search_rejects_a_bound_below_every_split():
     peels, sizes = dpcore._admissible_peels(win, 4, 16, 3)
     with pytest.raises(QcpartError, match="no split within the cost 2"):
         dpcore._search(win, 4, 16, peels, sizes, 2, 1 << 62, 1 << 62)
+
+
+def test_full_tables_share_no_scratch_state():
+    # each solve allocates its own convolution scratch: a 12-qubit full
+    # table solved between two 13-qubit ones equals a fresh solve
+    rng = np.random.default_rng(1213)
+    w12, w13 = (_random_w(rng, n, 6 * n) for n in (12, 13))
+    fresh = dpcore.solve(w12, 4, 12, full_table=True)
+    first = dpcore.solve(w13, 4, 5, full_table=True)
+    between = dpcore.solve(w12, 4, 12, full_table=True)
+    last = dpcore.solve(w13, 4, 5, full_table=True)
+    for want, got in ((fresh, between), (first, last)):
+        assert len(want) == len(got) == 3
+        for (cost, choice), (cost2, choice2) in zip(want, got):
+            assert np.array_equal(cost, cost2) and np.array_equal(choice, choice2)
 
 
 def test_packed_key_range_guard():

@@ -15,8 +15,11 @@ def problems(draw) -> tuple[np.ndarray, int]:
     qubit, and K = 3 or 4."""
     n = draw(st.integers(12, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    circuit = build_random_circuit(rng, n, draw(st.integers(2 * n, 10 * n)))
-    return weight_matrix(qc_to_bigraph(circuit)).m, draw(st.integers(3, 4))
+    return _random_weights(rng, n, draw(st.integers(2 * n, 10 * n))), draw(st.integers(3, 4))
+
+
+def _random_weights(rng: np.random.Generator, n: int, gates: int) -> np.ndarray:
+    return weight_matrix(qc_to_bigraph(build_random_circuit(rng, n, gates))).m
 
 
 def _cost(w: np.ndarray, k: int, cap: int | None = None) -> int:
@@ -75,3 +78,21 @@ def test_an_isolated_qubit_in_one_more_part_keeps_the_cost(problem, data):
     wide = wide[keep][:, keep]
     assume(_searched(wide, k + 1))
     assert _cost(wide, k + 1) == _cost(w, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(12, 14), st.data())
+def test_disjoint_circuits_cost_the_best_split_of_the_parts(n, data):
+    # an uncapped K-split of two disjoint circuits is a K1-split of one plus
+    # a K2-split of the other, K1 + K2 = K: a part that holds qubits of both
+    # can be cut in two at no cost, and more parts never cost less
+    n1 = data.draw(st.integers(2, n - 2))
+    k = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w1, w2 = (_random_weights(rng, m, int(rng.integers(m, 6 * m))) for m in (n1, n - n1))
+    union = np.zeros((n, n), dtype=w1.dtype)
+    union[:n1, :n1], union[n1:, n1:] = w1, w2
+    perm = rng.permutation(n)  # interleave the two circuits' qubits
+    best = min(_cost(w1, k1) + _cost(w2, k - k1)
+               for k1 in range(max(1, k - (n - n1)), min(n1, k - 1) + 1))
+    assert _cost(union[perm][:, perm], k) == best

@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -22,8 +26,8 @@ from qcpart import (
     subset_qubits,
     weight_matrix,
 )
-from qcpart import partitioner
-from qcpart.partitioner import _rgs_table
+from qcpart import dpcore, partitioner
+from qcpart.partitioner import DpTable, _rgs_table
 from conftest import build_random_circuit, connect
 
 
@@ -227,12 +231,62 @@ def test_table_payload_reads_every_cell(w4, w4h):
             for mask in range(1, 1 << t.n)]
 
 
-def test_table_json_string_matches_json_dumps(w4):
+def _rendered_tables(w4) -> list:
+    """Small, capped, one-qubit, big-cost and multi-chunk tables."""
     capped = dp_partition(w4, 3, max_part_size=2, keep_table=True).table
-    tables = [dp_table(w4, 3), capped, dp_table(WeightMatrix(np.zeros((1, 1))), 1)]
     assert None in capped.payload()["rows"][14]  # {4,3,2,1} at k=1 is over the cap
-    for t in tables:
+    big = WeightMatrix(np.array([[0, 1 << 56, 0], [1 << 56, 0, 3], [0, 3, 0]]))
+    rng = np.random.default_rng(29)
+    wide = wmat(build_random_circuit(rng, 13, 40))  # 8191 rows: more than one render chunk
+    assert (1 << 13) > partitioner._RENDER_ROWS
+    return [dp_table(w4, 3), capped, dp_table(WeightMatrix(np.zeros((1, 1))), 1),
+            dp_table(big, 3), dp_partition(wide, 2, max_part_size=9, keep_table=True).table]
+
+
+def test_table_json_string_matches_json_dumps(w4):
+    for t in _rendered_tables(w4):
         assert t.json_string() == json.dumps(t.payload(), indent=2)
+
+
+def test_table_csv_string_matches_csv_writer(w4):
+    for t in _rendered_tables(w4):
+        payload = t.payload()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(payload["header"])
+        writer.writerows(["N.A" if c is None else c for c in row] for row in payload["rows"])
+        assert t.csv_string() == buf.getvalue()
+
+
+def _per_row_json(t: DpTable) -> str:
+    """The table's JSON from ``payload()``, one formatted string per row:
+    the reference for ``json_string``'s bytes and memory peak."""
+    payload = t.payload()
+    header = json.dumps(payload["header"], indent=2).replace("\n", "\n  ")
+    rows = ",\n".join(
+        "    [\n      %d,\n      %s,\n      %s\n    ]"
+        % (row[0], encode_basestring_ascii(row[1]),
+           ",\n      ".join(map(str, row[2:])).replace("None", "null"))
+        for row in payload["rows"])
+    return '{\n  "header": ' + header + ',\n  "rows": [\n' + rows + "\n  ]\n}"
+
+
+def test_table_json_string_memory_at_16_qubits():
+    # random costs, a third unreachable: many distinct cells and nulls
+    rng = np.random.default_rng(16)
+    cost = rng.integers(0, 400, 1 << 16)
+    cost[rng.random(cost.size) < 0.3] = dpcore.INF
+    t = DpTable(16, 2, 13, [(cost, np.zeros_like(cost))])
+    texts, peaks = [], []
+    for render in (t.json_string, lambda: _per_row_json(t)):
+        tracemalloc.start()  # counts only what is allocated from here on
+        try:
+            texts.append(render())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert texts[0] == texts[1]
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_table_bounds_checking(w4):
@@ -243,6 +297,46 @@ def test_table_bounds_checking(w4):
         t.cost_at(16, 1)
     with pytest.raises(ValueError):
         t.cost_at(1, 3)
+    for read in (t.cost_at, t.choice_at):
+        for mask, k in ((1, 0), (1, 3), (15, -1)):
+            with pytest.raises(ValueError, match=r"^k must be in 1\.\.2$"):
+                read(mask, k)
+        for mask, k in ((0, 1), (16, 2), (-1, 1), (1 << 70, 2)):
+            with pytest.raises(ValueError, match="^mask must be a non-empty subset of 4 qubits$"):
+                read(mask, k)
+        for mask in (1.0, 3.0, "3"):
+            with pytest.raises(TypeError):
+                read(mask, 2)
+
+
+def test_table_reads_match_the_level_arrays():
+    # every (mask, k) of seeded full tables at 1-12 qubits, K up to n, with
+    # and without a part cap; numpy integer masks read as plain ints do
+    rng = np.random.default_rng(1212)
+    for n in range(1, 13):
+        w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 3 * n + 1)))).m
+        for kmax in sorted({1, int(rng.integers(1, n + 1)), n}):
+            for cap in sorted({n, -(-n // kmax) + int(rng.integers(0, 2))}):
+                levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
+                t = DpTable(n, kmax, min(cap, n), levels)
+                masks = range(1, 1 << n)
+                fits = [mask.bit_count() <= cap for mask in masks]
+                assert [t.cost_at(m, 1) for m in masks] == [0 if f else None for f in fits]
+                assert [t.choice_at(m, 1) for m in masks] == [None] * len(fits)
+                for k, (cost, choice) in enumerate(levels, start=2):
+                    assert [t.cost_at(m, k) for m in masks] == \
+                        [c if c < dpcore.INF else None for c in cost.tolist()[1:]]
+                    assert [t.choice_at(m, k) for m in masks] == \
+                        [s or None for s in choice.tolist()[1:]]
+                for mask in rng.integers(1, 1 << n, 8).tolist():
+                    for k in range(1, kmax + 1):
+                        for m in (np.int64(mask), np.uint16(mask), np.intp(mask)):
+                            assert t.cost_at(m, k) == t.cost_at(mask, k)
+                            assert t.choice_at(m, k) == t.choice_at(mask, k)
+                            assert type(t.cost_at(m, k)) is type(t.cost_at(mask, k))
+                # a bool is an int: True reads as mask 1
+                assert t.cost_at(True, kmax) == t.cost_at(1, kmax)
+                assert t.choice_at(True, kmax) == t.choice_at(1, kmax)
 
 
 # --- capped ------------------------------------------------------------------
