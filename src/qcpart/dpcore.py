@@ -23,13 +23,16 @@ over x:
     B[u] = cost[k-1][u] - win[u]
 
 A packed key ``(A[t] << (n-1)) + t`` carries the peeled submask t in its low
-bits, so one ``np.minimum.reduceat`` yields both the optimum and the lowest
-optimal t. The n-1 bits split into up to 10 low bits, scanned in one gather
-over a cached table of the 3^L disjoint low-bit pairs sorted by union, and
-the high bits, whose 3^H disjoint pairs a Python loop walks block by block
-(each peeled block is gathered once, then paired with every disjoint rest).
-Only the full mask is needed at the last level of a partition, and there
-the scan is one vector op over the 2^(n-1) submasks.
+bits, so a minimum over keys yields both the optimum and the lowest optimal
+t. One loop, ``_odd_levels``, computes the levels of every schedule, and a
+scan gives a middle level's keys. The dense scan, ``_convolve``, splits the
+n-1 bits into up to 10 low bits, scanned in one gather over a cached table
+of the 3^L disjoint low-bit pairs sorted by union, and the high bits, whose
+3^H disjoint pairs a Python loop walks block by block (each peeled block is
+gathered once, then paired with every disjoint rest); ``np.minimum.reduceat``
+takes each union's minimum. Only the full mask is needed at the last level
+of a partition, and there the loop takes one vector op over the 2^(n-1)
+submasks, whatever the scan.
 
 A partition solve with K >= 3 first tries a pruned search over admissible
 peels. Let U be the cost of any feasible K-split within the cap. Every part
@@ -56,15 +59,17 @@ level, which yields the lexicographically first optimal sequence. A
 sorted sequence is never lexicographically after its other orders, so
 that first sequence is ascending: the search's tuple.
 
-When the search gives up, a level schedule runs. The bounded-peel
-schedule takes, at levels 2..K-1, the packed-key minimum over T only, one
-np.minimum per peel over the strided view of the states that contain it,
-and its last level is one gather over T. Skipping the other peels changes
-nothing on the reconstruction path: a peel that is optimal at a state on
-the path extends to an optimal split, all of whose parts lie in T, so
-the path's costs are exact and its lowest optimal peel is the dense
-schedule's. Every other entry of a bounded level may sit above its true
-optimum (never below it).
+When the search gives up, a level schedule runs. The bounded-peel scan
+(``_peel_scan``) takes the packed-key minimum over T only, one np.minimum
+per peel over the strided view of the states that contain it. Skipping the
+other peels changes nothing on the reconstruction path: a peel that is
+optimal at a state on the path extends to an optimal split, all of whose
+parts lie in T, so the path's costs are exact and its lowest optimal peel
+is the dense schedule's. Every other entry of a bounded level may sit
+above its true optimum (never below it). The shared last level stays
+exact: a peel outside T is above the cap (an unreachable key), leaves
+fewer than K-1 qubits (level K-1 cost INF) or cuts more than U >= OPT, so
+its key lies strictly above the optimum and can neither win nor tie.
 
 ``plan`` routes a solve by counted work, never by measured time. The
 dense schedule costs 3^(n-1) pair-ops per level. The bounded one updates
@@ -86,7 +91,7 @@ computing U.
 A full table solves every mask. The masks whose lowest qubit is b are the
 same problem on qubits b..n-1, so the full table is n runs of the odd-mask
 solve, each scattered into per-level arrays indexed by mask. Run time grows
-as 3^n. It always runs the dense schedule, so every entry is exact.
+as 3^n. It always runs the dense scan, so every entry is exact.
 
 A dense solve allocates ``_convolve``'s scratch (2 x 3^10 + 2^10 int64 at
 most) once, and every convolution of its levels and suffix runs works in a
@@ -98,7 +103,7 @@ none and 40 ms. A process-wide buffer would hold the memory after a solve.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 
 import numpy as np
@@ -159,8 +164,9 @@ def _scratch(bits: int) -> tuple:
     return tuple(np.empty(size, dtype=np.int64) for size in (3 ** low, 3 ** low, 1 << low))
 
 
-def _convolve(akey: np.ndarray, bkey: np.ndarray, bits: int, scratch: tuple) -> np.ndarray:
-    """min over t <= x of akey[t] + bkey[x ^ t], for every x below 2^bits."""
+def _convolve(akey: np.ndarray, bkey: np.ndarray, scratch: tuple) -> np.ndarray:
+    """min over t <= x of akey[t] + bkey[x ^ t], for every x below akey.size."""
+    bits = akey.size.bit_length() - 1
     low = min(bits, LOW_BITS)
     lo = 1 << low
     tl, ul, starts = _pair_table(low)
@@ -183,11 +189,11 @@ def _convolve(akey: np.ndarray, bkey: np.ndarray, bits: int, scratch: tuple) -> 
     return out
 
 
-def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool,
-                scratch: tuple) -> list:
+def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool, scan) -> list:
     """Levels 2..kmax over the masks that hold qubit 0 of ``win``'s qubits,
-    indexed by mask >> 1, as (cost, peeled submask) array pairs. With
-    ``last_full_only`` the last level holds only the full mask."""
+    indexed by mask >> 1, as (cost, peeled submask) array pairs. ``scan(akey,
+    bkey)`` gives a level's packed keys. With ``last_full_only`` the last
+    level holds only the full mask, one vector op over its submasks."""
     bits = win.size.bit_length() - 2
     size = 1 << bits
     wodd = win[1::2]
@@ -201,7 +207,7 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool,
             key = np.full(size, _KEY_INF)
             key[-1] = (akey + bkey[::-1]).min()
         else:
-            key = _convolve(akey, bkey, bits, scratch)
+            key = scan(akey, bkey)
         reach = key < _KEY_REACH
         cost = np.where(reach, wodd + (key >> bits), INF)
         levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))
@@ -233,6 +239,11 @@ def _improve(w: np.ndarray, labels: np.ndarray, kmax: int, cap: int) -> np.ndarr
         labels[q], labels[r] = labels[r], labels[q]
 
 
+def crossing_weight(w: np.ndarray, labels: np.ndarray) -> int:
+    """Weight of the qubit pairs that ``labels`` (a part per qubit) splits."""
+    return int(w[labels[:, None] != labels].sum()) // 2
+
+
 def _upper_bound(win: np.ndarray, kmax: int, cap: int) -> int:
     """Cost of a cheap feasible kmax-split within the cap (kmax * cap >= n):
     the better of two splits, the kmax - 1 lowest-degree qubits as
@@ -245,10 +256,7 @@ def _upper_bound(win: np.ndarray, kmax: int, cap: int) -> int:
     if n - kmax + 1 <= cap:
         starts.append(np.zeros(n, dtype=np.int64))
         starts[-1][np.argsort(w.sum(0), kind="stable")[:kmax - 1]] = np.arange(1, kmax)
-
-    def cost(labels: np.ndarray) -> int:
-        return int(w[labels[:, None] != labels].sum()) // 2
-
+    cost = partial(crossing_weight, w)
     return cost(_improve(w, min(starts, key=cost), kmax, cap))
 
 
@@ -391,41 +399,29 @@ def _peel_views(t: int, bits: int) -> tuple:
     return tuple(shape), tuple(with_t), tuple(rest), axes
 
 
-def _bounded_levels(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray) -> list:
-    """``_odd_levels(win, kmax, cap, True)`` with every peel outside ``peels``
-    skipped. Level k < kmax takes, for each peel t, one np.minimum over the
-    strided view of the states that contain t, against the view of their
-    rests x \\ t (see ``_peel_views``); the last level is one gather over
-    the peels."""
-    bits = win.size.bit_length() - 2
-    size = 1 << bits
-    wodd = win[1::2]
-    akey = (-win[0::2][peels] << bits) + peels
+def _peel_scan(peels: np.ndarray, bits: int):
+    """The bounded scan for ``_odd_levels``: the packed-key minimum over
+    ``peels`` only, one np.minimum per peel over the strided views that
+    ``_peel_views`` gives, which are built once per solve."""
     views = [_peel_views(t, bits) for t in peels.tolist()]
-    cost = np.where(_popcounts(bits) < cap, 0, INF)  # level 1, as in _odd_levels
-    levels = []
-    for k in range(2, kmax + 1):
-        bkey = np.where(cost < INF, (cost - wodd) << bits, _KEY_INF)
-        key = np.full(size, _KEY_INF)
-        if k == kmax:
-            key[-1] = (akey + bkey[(size - 1) ^ peels]).min()
-        else:
-            for a, (shape, with_t, rest, axes) in zip(akey.tolist(), views):
-                out = key.reshape(shape)[with_t].transpose(axes)
-                summed = np.add(bkey.reshape(shape)[rest].transpose(axes), a, order="C")
-                np.minimum(out, summed, out=out, order="C")
-        reach = key < _KEY_REACH
-        cost = np.where(reach, wodd + (key >> bits), INF)
-        levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))
-    return levels
+
+    def scan(akey: np.ndarray, bkey: np.ndarray) -> np.ndarray:
+        key = np.full(1 << bits, _KEY_INF)
+        for a, (shape, with_t, rest, axes) in zip(akey[peels].tolist(), views):
+            out = key.reshape(shape)[with_t].transpose(axes)
+            summed = np.add(bkey.reshape(shape)[rest].transpose(axes), a, order="C")
+            np.minimum(out, summed, out=out, order="C")
+        return key
+
+    return scan
 
 
-def walk(levels: list, shift: int) -> list:
+def _walk(levels: list, shift: int) -> list:
     """The reconstruction path through level arrays (``(cost, peeled
     submask)`` pairs for levels 2..kmax, mask m at index m >> shift): from
     the full mask at level kmax down to level 2, each state's cost and
     peel, the next state being the state without its peel."""
-    mask = (levels[-1][0].size << shift) - 1 if levels else 0
+    mask = (levels[-1][0].size << shift) - 1
     path = []
     for cost, choice in reversed(levels):
         path.append((cost.item(mask >> shift), choice.item(mask >> shift)))
@@ -433,22 +429,9 @@ def walk(levels: list, shift: int) -> list:
     return path
 
 
-def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> list:
-    """Run the DP over an n x n weight array. ``cap`` bounds part sizes
-    (pass n for unconstrained).
-
-    A partition solve returns its reconstruction path: for each level from
-    kmax down to 2, the pair (cost, peel), where the level's state is the
-    full mask without the peels above it, cost is that state's optimum (INF
-    when unreachable) and peel is its lowest optimal peeled submask (0 when
-    unreachable). The rest left after the last peel is the final part. The
-    schedule is ``plan``'s.
-
-    With ``full_table`` it returns the levels of every mask instead,
-    ``(cost, peeled submask)`` int64 array pairs for levels 2..kmax indexed
-    by mask, with every entry exact."""
-    if kmax < 2:  # one part: no level to solve, and no 2^n weight array
-        return []
+def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
+    """``solve`` for kmax >= 2, without level 1. ``win`` and the scratch
+    die on return, before ``solve`` allocates level 1."""
     n = w.shape[0]
     total = sum(sum(row[i + 1:]) for i, row in enumerate(w.tolist()))
     # |costs| and |win| <= total, so finite packed sums stay below _KEY_REACH
@@ -460,17 +443,39 @@ def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> li
     win = _internal_weights(w)
     schedule, found = plan(win, kmax, cap, full_table)
     if schedule == "search":
-        return found
+        return found, None
     if schedule == "bounded":
-        return walk(_bounded_levels(win, kmax, cap, found), 1)
-    scratch = _scratch(n - 1)  # shared by every convolution of this solve
+        scan = _peel_scan(found, n - 1)
+    else:  # every convolution of this solve shares one scratch
+        scan = partial(_convolve, scratch=_scratch(n - 1))
     if not full_table:
-        return walk(_odd_levels(win, kmax, cap, True, scratch), 1)
+        return _walk(_odd_levels(win, kmax, cap, True, scan), 1), None
     size = 1 << n
     levels = [(np.full(size, INF), np.zeros(size, dtype=np.int64)) for _ in range(2, kmax + 1)]
     for b in range(n):
         sl = slice(1 << b, None, 2 << b)  # masks whose lowest qubit is b
-        for (c, s), (cf, sf) in zip(_odd_levels(win[::1 << b], kmax, cap, False, scratch), levels):
+        for (c, s), (cf, sf) in zip(_odd_levels(win[::1 << b], kmax, cap, False, scan), levels):
             cf[sl] = c
             sf[sl] = s << b
-    return levels
+    return _walk(levels, 0), levels
+
+
+def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> tuple:
+    """Run the DP over an n x n weight array. ``cap`` bounds part sizes
+    (pass n for unconstrained). Returns ``(path, levels)``.
+
+    ``path`` is the reconstruction path: for each level from kmax down to
+    2, the pair (cost, peel), where the level's state is the full mask
+    without the peels above it, cost is that state's optimum (INF when
+    unreachable) and peel is its lowest optimal peeled submask (0 when
+    unreachable). The rest left after the last peel is the final part.
+
+    ``levels`` is None for a partition solve, whose schedule is ``plan``'s.
+    With ``full_table`` it holds levels 1..kmax, every entry exact, as
+    ``(cost, peeled submask)`` int64 array pairs indexed by mask; level 1
+    costs 0 where the mask fits the cap, else INF."""
+    path, levels = _run(w, kmax, cap, full_table) if kmax >= 2 else ([], [])
+    if not full_table:
+        return path, None
+    one = np.where(_popcounts(w.shape[0]) <= cap, 0, INF)
+    return path, [(one, np.zeros_like(one)), *levels]

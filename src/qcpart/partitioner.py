@@ -130,22 +130,18 @@ def _subset_labels(n: int) -> list[str]:
 
 class DpTable:
     """Full memo table over (mask, k): the optimal cost and the peeled
-    submask that achieves it, read from the per-level arrays of a full-table
-    ``dpcore.solve``, indexed by mask.
+    submask that achieves it, read from the levels 1..k_max of a full-table
+    ``dpcore.solve``, ``(cost, peeled submask)`` arrays indexed by mask.
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
     or no split satisfying the part-size cap); ``choice_at`` returns None at
-    k=1 and for unreachable states. Each level, level 1 included (cost 0
-    when the mask fits the cap, else INF), is a read-only memoryview, so a
-    read is one range test and one index that yields a plain int.
+    k=1 and for unreachable states. Each level is a read-only memoryview, so
+    a read is one range test and one index that yields a plain int.
     """
 
-    def __init__(self, n: int, k_max: int, cap: int, levels: list):
+    def __init__(self, n: int, k_max: int, levels: list):
         self.n = n
         self.k_max = k_max
-        self.cap = cap
-        one = np.where(dpcore._popcounts(n) <= cap, 0, INF)
-        levels = [(one, np.zeros_like(one)), *levels]
         # per-level views, indexed by k; index 0 is None
         self._cost = [None] + [memoryview(c).toreadonly() for c, _ in levels]
         self._choice = [None] + [memoryview(s).toreadonly() for _, s in levels]
@@ -236,8 +232,7 @@ class PartitionResult:
 def assignment_cost(assignment: PartitionAssignment, w: WeightMatrix) -> int:
     """Total inter-part weight of an assignment: the weight of every qubit
     pair whose two qubits lie in different parts, each pair counted once."""
-    part = np.asarray(assignment.part_labels())
-    return int(w.m[part[:, None] != part].sum()) // 2
+    return dpcore.crossing_weight(w.m, np.asarray(assignment.part_labels()))
 
 
 def check_width(n: int, cap: int | None = None) -> None:
@@ -253,8 +248,8 @@ def check_width(n: int, cap: int | None = None) -> None:
 
 
 def _reconstruct(n: int, path: list) -> tuple[int, list[QubitSubset]]:
-    """Cost and parts of a reconstruction path from ``dpcore.solve`` or
-    ``dpcore.walk``: the peel of every level, then the rest."""
+    """Cost and parts of the reconstruction path of a ``dpcore.solve``: the
+    peel of every level, then the rest."""
     mask = (1 << n) - 1
     if not path:  # one part
         return 0, [mask]
@@ -271,9 +266,9 @@ def _reconstruct(n: int, path: list) -> tuple[int, list[QubitSubset]]:
 
 
 def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
-           full_table: bool) -> tuple[int, list]:
+           full_table: bool) -> tuple[int, list, list | None]:
     """Check the problem, then run ``dpcore.solve``. Returns the effective
-    part cap and the solve's path, or its levels for a full table."""
+    part cap, the solve's path and its levels (None unless ``full_table``)."""
     n = w.n
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
@@ -288,7 +283,7 @@ def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
                 f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
             )
     effective_cap = n if part_cap is None else min(part_cap, n)
-    return effective_cap, dpcore.solve(w.m, k, effective_cap, full_table=full_table)
+    return effective_cap, *dpcore.solve(w.m, k, effective_cap, full_table=full_table)
 
 
 def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
@@ -314,12 +309,11 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     the solve runs the bounded-peel levels or the dense scan instead,
     whichever counts less work. Either way the cost and the assignment are
     the dense DP's. With ``keep_table`` the full table is always solved
-    densely.
+    densely, and its levels come back with the path.
     """
-    effective_cap, solved = _solve(w, k, max_part_size, cap, keep_table)
-    n = w.n
-    cost, parts = _reconstruct(n, dpcore.walk(solved, 0) if keep_table else solved)
-    assignment = PartitionAssignment.from_parts(n, parts)
+    effective_cap, path, levels = _solve(w, k, max_part_size, cap, keep_table)
+    cost, parts = _reconstruct(w.n, path)
+    assignment = PartitionAssignment.from_parts(w.n, parts)
     if max(assignment.sizes()) > effective_cap:
         raise QcpartError(f"DP assignment has a part above the cap of {effective_cap} qubits")
     recount = assignment_cost(assignment, w)
@@ -328,14 +322,14 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=DpTable(n, k, effective_cap, solved) if keep_table else None,
+        table=DpTable(w.n, k, levels) if keep_table else None,
         max_part_size=max_part_size,
     )
 
 
 def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
     """Full memo table over every non-empty mask and 1 <= level <= k."""
-    return DpTable(w.n, k, *_solve(w, k, None, cap, True))
+    return DpTable(w.n, k, _solve(w, k, None, cap, True)[2])
 
 
 @lru_cache(maxsize=None)
@@ -368,10 +362,10 @@ def oracle_cap() -> int:
         raise QcpartError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_oracle_width(n: int, cap: int | None = None) -> None:
-    """Raise SizeCapError when n qubits exceed the brute-force cap (default
-    ``oracle_cap()``). Cheap enough to run before anything is allocated."""
-    limit = oracle_cap() if cap is None else cap
+def check_oracle_width(n: int) -> None:
+    """Raise SizeCapError when n qubits exceed the brute-force cap,
+    ``oracle_cap()``. Cheap enough to run before anything is allocated."""
+    limit = oracle_cap()
     if n > limit:
         raise SizeCapError(
             f"{n} qubits exceeds the brute-force cap ({limit}); set {ORACLE_CAP_ENV} "
@@ -379,17 +373,17 @@ def check_oracle_width(n: int, cap: int | None = None) -> None:
         )
 
 
-def oracle_partition(w: WeightMatrix, k: int, cap: int | None = None) -> PartitionResult:
+def oracle_partition(w: WeightMatrix, k: int) -> PartitionResult:
     """Brute-force optimum: enumerate every partition of the qubits into
     exactly k non-empty blocks and score each directly from the weight
-    matrix. Exponential (Bell numbers); guarded by ``cap``.
+    matrix. Exponential (Bell numbers); guarded by ``oracle_cap()``.
 
     Independent of the DP on purpose: different enumeration, different cost
     evaluation. Among equal-cost partitions the lexicographically first
     growth string wins.
     """
     n = w.n
-    check_oracle_width(n, cap)
+    check_oracle_width(n)
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
             f"cannot split {n} qubit(s) into {k} non-empty part(s)"

@@ -2,6 +2,7 @@
 bounded-peel schedule and the pruned search against the dense schedule."""
 
 import tracemalloc
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -16,8 +17,8 @@ from dp_reference import reference_solve
 
 
 def _dense(w: np.ndarray, kmax: int, cap: int) -> list:
-    return dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True,
-                              dpcore._scratch(w.shape[0] - 1))
+    scan = partial(dpcore._convolve, scratch=dpcore._scratch(w.shape[0] - 1))
+    return dpcore._odd_levels(dpcore._internal_weights(w), kmax, cap, True, scan)
 
 
 def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
@@ -30,7 +31,8 @@ def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
 
 def _bounded(win: np.ndarray, peels: np.ndarray, kmax: int, cap: int) -> list:
     """The bounded schedule's reconstruction path."""
-    return dpcore.walk(dpcore._bounded_levels(win, kmax, cap, peels), 1)
+    scan = dpcore._peel_scan(peels, win.size.bit_length() - 2)
+    return dpcore._walk(dpcore._odd_levels(win, kmax, cap, True, scan), 1)
 
 
 def _searched(win: np.ndarray, bound: int, peels: np.ndarray, sizes: np.ndarray, kmax: int,
@@ -55,7 +57,7 @@ def test_engine_matches_scalar_reference():
             kmax = int(rng.integers(2, min(n, 5) + 1))
             for cap in (n, int(rng.integers(-(-n // kmax), n))):
                 ref_cost, ref_choice = reference_solve(w, kmax, cap, full_table=True)
-                table = DpTable(n, kmax, cap, dpcore.solve(w, kmax, cap, full_table=True))
+                table = DpTable(n, kmax, dpcore.solve(w, kmax, cap, full_table=True)[1])
                 for k in range(2, kmax + 1):
                     for mask in range(1, 1 << n):
                         cost, choice = table.cost_at(mask, k), table.choice_at(mask, k)
@@ -79,7 +81,7 @@ def test_engine_matches_scalar_reference():
                 # exact on the reconstruction path: every state's cost and
                 # back-pointer from the full mask down
                 win, bound, peels, sizes = _peels(w, kmax, cap)
-                paths = [_bounded(win, peels, kmax, cap), dpcore.solve(w, kmax, cap)]
+                paths = [_bounded(win, peels, kmax, cap), dpcore.solve(w, kmax, cap)[0]]
                 if kmax >= 3:
                     paths.append(_searched(win, bound, peels, sizes, kmax, cap))
                     searched += paths[-1] is not None
@@ -107,7 +109,7 @@ def test_bounded_schedule_matches_dense_seeded():
         w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
         tight = -(-n // kmax)
         cap = (n, tight, int(rng.integers(tight, n + 1)))[case % 3]
-        dense = _reconstruct(n, dpcore.walk(_dense(w, kmax, cap), 1))
+        dense = _reconstruct(n, dpcore._walk(_dense(w, kmax, cap), 1))
         win, bound, peels, sizes = _peels(w, kmax, cap)
         assert _reconstruct(n, _bounded(win, peels, kmax, cap)) == dense, (case, n, kmax, cap)
         path = _searched(win, bound, peels, sizes, kmax, cap) if kmax >= 3 else None
@@ -115,6 +117,29 @@ def test_bounded_schedule_matches_dense_seeded():
             searched += 1
             assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
     assert searched >= 850
+
+
+def test_bounded_scan_matches_dense_at_every_state():
+    # over every peel of 1..cap qubits the bounded scan skips nothing, so it
+    # gives the dense levels at every odd mask below level K and at the full
+    # mask at level K. cap <= n-2 keeps out the all-ones peel, which no
+    # admissible set holds (a peel has at most n-K+1 qubits) and whose
+    # strided view would be a 0-d scalar.
+    rng = np.random.default_rng(1314)
+    for case in range(400):
+        n = int(rng.integers(3, 14 if case % 10 == 0 else 11))
+        kmax = min(int(rng.integers(3, 6)), n)
+        w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
+        tight = min(-(-n // kmax), n - 2)
+        cap = (tight, int(rng.integers(tight, n - 1)))[case % 2]
+        win = dpcore._internal_weights(w)
+        sizes = dpcore._popcounts(n - 1)
+        scan = dpcore._peel_scan(np.flatnonzero((sizes >= 1) & (sizes <= cap)), n - 1)
+        bounded = dpcore._odd_levels(win, kmax, cap, True, scan)
+        for k, (got, want) in enumerate(zip(bounded, _dense(w, kmax, cap)), start=2):
+            states = slice(None) if k < kmax else slice(-1, None)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[states], b[states]), (case, n, kmax, cap, k)
 
 
 def test_search_matches_dense_seeded():
@@ -137,7 +162,7 @@ def test_search_matches_dense_seeded():
         if path is None:
             continue
         searched += 1
-        dense = _reconstruct(n, dpcore.walk(_dense(w, kmax, cap), 1))
+        dense = _reconstruct(n, dpcore._walk(_dense(w, kmax, cap), 1))
         assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
         if qft:
             assert path[0][0] == comb(n, 2) - comb(n - kmax + 1, 2), (case, n, kmax)
@@ -239,12 +264,12 @@ def test_full_tables_share_no_scratch_state():
     # table solved between two 13-qubit ones equals a fresh solve
     rng = np.random.default_rng(1213)
     w12, w13 = (_random_w(rng, n, 6 * n) for n in (12, 13))
-    fresh = dpcore.solve(w12, 4, 12, full_table=True)
-    first = dpcore.solve(w13, 4, 5, full_table=True)
-    between = dpcore.solve(w12, 4, 12, full_table=True)
-    last = dpcore.solve(w13, 4, 5, full_table=True)
+    fresh = dpcore.solve(w12, 4, 12, full_table=True)[1]
+    first = dpcore.solve(w13, 4, 5, full_table=True)[1]
+    between = dpcore.solve(w12, 4, 12, full_table=True)[1]
+    last = dpcore.solve(w13, 4, 5, full_table=True)[1]
     for want, got in ((fresh, between), (first, last)):
-        assert len(want) == len(got) == 3
+        assert len(want) == len(got) == 4  # levels 1..4
         for (cost, choice), (cost2, choice2) in zip(want, got):
             assert np.array_equal(cost, cost2) and np.array_equal(choice, choice2)
 

@@ -65,3 +65,34 @@ def test_no_unused_module_imports():
                     if name not in used:
                         found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name read from another module ties the reader to that
+    # module's layout; the owner should export what the reader needs
+    package = ROOT / "src" / "qcpart"
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()  # names this module binds to a qcpart module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "qcpart"
+                                                     or node.module.startswith("qcpart.")):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}")
+                    elif node.module in (None, "qcpart") and alias.name in modules:
+                        bound.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                bound.update(alias.asname for alias in node.names
+                             if alias.asname and alias.name.startswith("qcpart."))
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and _private(node.attr)]
+    assert found == []

@@ -276,7 +276,8 @@ def test_table_json_string_memory_at_16_qubits():
     rng = np.random.default_rng(16)
     cost = rng.integers(0, 400, 1 << 16)
     cost[rng.random(cost.size) < 0.3] = dpcore.INF
-    t = DpTable(16, 2, 13, [(cost, np.zeros_like(cost))])
+    one = np.where(dpcore._popcounts(16) <= 13, 0, dpcore.INF)  # level 1 at a cap of 13
+    t = DpTable(16, 2, [(one, np.zeros_like(one)), (cost, np.zeros_like(cost))])
     texts, peaks = [], []
     for render in (t.json_string, lambda: _per_row_json(t)):
         tracemalloc.start()  # counts only what is allocated from here on
@@ -317,13 +318,13 @@ def test_table_reads_match_the_level_arrays():
         w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 3 * n + 1)))).m
         for kmax in sorted({1, int(rng.integers(1, n + 1)), n}):
             for cap in sorted({n, -(-n // kmax) + int(rng.integers(0, 2))}):
-                levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
-                t = DpTable(n, kmax, min(cap, n), levels)
+                _, levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
+                t = DpTable(n, kmax, levels)
                 masks = range(1, 1 << n)
                 fits = [mask.bit_count() <= cap for mask in masks]
                 assert [t.cost_at(m, 1) for m in masks] == [0 if f else None for f in fits]
                 assert [t.choice_at(m, 1) for m in masks] == [None] * len(fits)
-                for k, (cost, choice) in enumerate(levels, start=2):
+                for k, (cost, choice) in enumerate(levels[1:], start=2):
                     assert [t.cost_at(m, k) for m in masks] == \
                         [c if c < dpcore.INF else None for c in cost.tolist()[1:]]
                     assert [t.choice_at(m, k) for m in masks] == \
@@ -526,7 +527,8 @@ def test_dp_recount_mismatch_raises(w4, monkeypatch):
 
 def test_dp_part_above_the_cap_raises(w4, monkeypatch):
     # a path that peels qubit 2 alone leaves the other three in one part
-    monkeypatch.setattr(partitioner.dpcore, "solve", lambda *args, **kwargs: [(3, 0b0010)])
+    monkeypatch.setattr(partitioner.dpcore, "solve",
+                        lambda *args, **kwargs: ([(3, 0b0010)], None))
     with pytest.raises(QcpartError, match="above the cap of 2"):
         dp_partition(w4, 2, max_part_size=2)
     assert dp_partition(w4, 2).cost == 3
