@@ -28,7 +28,7 @@ from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
 from .errors import InfeasiblePartitionError, LineError, QcpartError, SizeCapError
 from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
-                       trace_to_json, trace_to_text)
+                       trace_to_json_at, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
     DpTable,
@@ -69,20 +69,23 @@ class RunReport:
 
     def to_json(self) -> str:
         """``json.dumps(..., indent=2)`` of the non-None fields, byte for byte; the
-        ``Trace`` and ``DpTable`` render through their own indent=2 templates."""
-        fields = []
+        ``Trace`` and ``DpTable`` render through their own indent=2 templates,
+        at the depth of a field."""
+        pieces = []
         for name, value in vars(self).items():
             if value is None:
                 continue
             if name == "trace":
-                body = trace_to_json(value)
+                body = trace_to_json_at(value, "  ")
             elif name == "dp_table":
-                body = value.json_string()
+                body = value.json_string_at("  ")
             else:
-                body = json.dumps(value, indent=2)
-            # JSON escapes every newline inside a string, so this only indents
-            fields.append(f"  {json.dumps(name)}: " + body.replace("\n", "\n  "))
-        return "{\n" + ",\n".join(fields) + "\n}"
+                # JSON escapes every newline inside a string, so this only indents
+                body = json.dumps(value, indent=2).replace("\n", "\n  ")
+            pieces += [",\n  ", json.dumps(name), ": ", body]
+        pieces[0] = "{\n  "  # circuit_name is never None
+        pieces.append("\n}")
+        return "".join(pieces)  # one copy of the trace and the table
 
 
 def parse_int_list(spec: str) -> list[int]:
@@ -204,7 +207,7 @@ def _collect_references(circuit: Circuit, k: int, cost: int) -> dict | None:
             "reported_comparison_r": ratio[1],
             "note": "previously reported; reference circuit files unavailable, informational only",
         }
-    reported = references.reported_cost(circuit.name, k)
+    reported = references.reported_cost(circuit.name, k, circuit.width)
     if reported is not None:
         refs["cost"] = {
             "k": k,

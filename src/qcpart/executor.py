@@ -34,21 +34,41 @@ class Trace:
     def is_global(self) -> np.ndarray:
         return self.parts[:, 0] != self.parts[:, 1]
 
+    def _distinct(self) -> tuple[np.ndarray, list[tuple]]:
+        """``(code, keys)``: gate i renders as ``keys[code[i]]``, a
+        ``(rendering, kind, parts)`` made once per distinct (label, control,
+        target, control's part, target's part)."""
+        labels = self.circuit.labels
+        codes = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+        c, t = (self.circuit.ends + 1).T  # 1-based; control 0 for a single-qubit gate
+        width = self.circuit.width + 1
+        k = int(self.parts.max(initial=0)) + 1
+        dims = (len(codes), width, width, k, k)
+        key = np.ravel_multi_index(  # raises rather than wraps if dims overflow int64
+            (np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels)), c, t,
+             *self.parts.T), dims)
+        key, code = np.unique(key, return_inverse=True)
+        names = list(map(str.upper, codes))
+        keys = []
+        for i, qc, qt, a, b in zip(*(col.tolist() for col in np.unravel_index(key, dims))):
+            label = names[i]
+            if a != b:
+                keys.append((f"{label}(q{qc},p{a},q{qt},p{b})", GLOBAL,
+                             (a, b) if a < b else (b, a)))
+            elif qc:
+                keys.append((f"{label}(q{qc},q{qt},p{a})", LOCAL, (a,)))
+            else:
+                keys.append((f"{label}(q{qt},p{a})", LOCAL, (a,)))
+        return code, keys
+
     def rows(self):
         """One ``(gate, rendering, kind, parts, teleports_so_far)`` tuple of plain
         Python values per gate, in execution order and JSON key order; ``gate``
         is 1-based and ``parts`` holds the gate's distinct parts, ascending."""
-        c, t = (self.circuit.ends + 1).T.tolist()  # 1-based; control 0 for a single-qubit gate
-        pc, pt = self.parts.T.tolist()
+        code, keys = self._distinct()
         teleports = np.cumsum(self.is_global).tolist()
-        for i, (label, qc, qt, a, b, n) in enumerate(
-                zip(map(str.upper, self.circuit.labels), c, t, pc, pt, teleports), 1):
-            if a != b:
-                yield i, f"{label}(q{qc},p{a},q{qt},p{b})", GLOBAL, (a, b) if a < b else (b, a), n
-            elif qc:
-                yield i, f"{label}(q{qc},q{qt},p{a})", LOCAL, (a,), n
-            else:
-                yield i, f"{label}(q{qt},p{a})", LOCAL, (a,), n
+        for gate, (i, n) in enumerate(zip(code.tolist(), teleports), 1):
+            yield (gate, *keys[i], n)
 
 
 @dataclass(frozen=True)
@@ -105,22 +125,35 @@ def trace_to_records(trace: Trace) -> list[dict]:
              "teleports_so_far": n} for gate, rendering, kind, parts, n in trace.rows()]
 
 
-# one trace_to_records record at depth 1 of a json.dumps(..., indent=2) array, by kind
-_RECORD_JSON = {
-    LOCAL: '  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": "local",\n'
-           '    "parts": [\n      %d\n    ],\n    "teleports_so_far": %d\n  }',
-    GLOBAL: '  {\n    "gate": %d,\n    "rendering": %s,\n    "kind": "global",\n'
-            '    "parts": [\n      %d,\n      %d\n    ],\n    "teleports_so_far": %d\n  }',
-}
-
-
 def trace_to_json(trace: Trace) -> str:
-    """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte.
+    """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte."""
+    return trace_to_json_at(trace, "")
+
+
+def trace_to_json_at(trace: Trace, pad: str) -> str:
+    """``trace_to_json(trace)`` with ``pad`` after every newline, so it can sit
+    at that depth of an indent=2 document.
 
     The standard library drops to its pure-Python encoder whenever ``indent``
-    is set, so each record is filled into a fixed indent=2 template instead,
-    with the rendering escaped by the same C routine ``json.dumps`` uses.
+    is set, so each record is joined from four strings instead: a fixed head,
+    the gate number, the middle of its distinct gate (rendering escaped by
+    the same C routine ``json.dumps`` uses) and the running teleport count.
     """
-    body = ",\n".join(_RECORD_JSON[kind] % (gate, encode_basestring_ascii(rendering), *parts, n)
-                      for gate, rendering, kind, parts, n in trace.rows())
-    return "[\n" + body + "\n]" if body else "[]"
+    code, keys = trace._distinct()
+    if not keys:
+        return "[]"
+    nl = "\n" + pad
+    middles = np.array([
+        f',{nl}    "rendering": {encode_basestring_ascii(rendering)},{nl}    "kind": "{kind}",'
+        f'{nl}    "parts": [{nl}      ' + f",{nl}      ".join(map(str, parts)) +
+        f'{nl}    ],{nl}    "teleports_so_far": ' for rendering, kind, parts in keys], dtype=object)
+    numbers = np.array(list(map(str, range(len(code) + 1))), dtype=object)
+    pieces = np.empty((len(code), 4), dtype=object)
+    pieces[:, 0] = f'{nl}  }},{nl}  {{{nl}    "gate": '
+    pieces[0, 0] = f'[{nl}  {{{nl}    "gate": '
+    pieces[:, 1] = numbers[1:]
+    pieces[:, 2] = middles[code]
+    pieces[:, 3] = numbers[np.cumsum(trace.is_global)]
+    out = pieces.ravel().tolist()
+    out.append(f"{nl}  }}{nl}]")
+    return "".join(out)

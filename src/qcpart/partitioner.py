@@ -188,6 +188,7 @@ class DpTable:
         pool = np.array([*masks, *(null if v == INF else str(v) for v in values.tolist())],
                         dtype=object)
         cells = np.column_stack([np.arange(size), size + code.reshape(self.k_max, size).T])
+        del code  # one int64 per (mask, k): freed before the rows are rendered
         pieces = np.empty((_RENDER_ROWS, 2 * cells.shape[1] + 1), dtype=object)
         pieces[:, 0::2] = [head] + [sep] * (cells.shape[1] - 1) + [tail]
         out = []
@@ -200,11 +201,18 @@ class DpTable:
     def json_string(self) -> str:
         """``json.dumps(self.payload(), indent=2)``, byte for byte, without
         the standard library's pure-Python indent encoder."""
-        header = json.dumps(self._header, indent=2).replace("\n", "\n  ")
-        rows = self._rows(encode_basestring_ascii, "null", "    [\n      ", ",\n      ",
-                          "\n    ],\n")
+        return self.json_string_at("")
+
+    def json_string_at(self, pad: str) -> str:
+        """``json_string()`` with ``pad`` after every newline, so it can sit at
+        that depth of an indent=2 document."""
+        nl = "\n" + pad
+        header = json.dumps(self._header, indent=2).replace("\n", nl + "  ")
+        rows = self._rows(encode_basestring_ascii, "null", f"{pad}    [{nl}      ",
+                          f",{nl}      ", f"{nl}    ],\n")
         rows[-1] = rows[-1][:-2]  # no comma after the last row
-        return "".join(['{\n  "header": ', header, ',\n  "rows": [\n', *rows, "\n  ]\n}"])
+        return "".join(["{", nl, '  "header": ', header, ",", nl, '  "rows": [\n', *rows,
+                        nl, "  ]", nl, "}"])
 
     def csv_string(self) -> str:
         """CSV text of ``payload()``, as ``csv.writer`` writes it: a qubit

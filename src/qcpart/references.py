@@ -70,9 +70,11 @@ def reported_ratio(circuit_name: str, k: int) -> tuple[float, float] | None:
     return REPORTED_RATIOS.get((fam, k))
 
 
-def reported_cost(circuit_name: str, k: int) -> int | None:
-    """Reported teleportation count for a named benchmark at k, if any."""
+def reported_cost(circuit_name: str, k: int, width: int) -> int | None:
+    """Reported teleportation count for a named benchmark at k, if any. The
+    qubit count must match too; the gate count is informational only, since
+    decomposing a .real file's MCT gates changes it."""
     row = REPORTED_COSTS.get(circuit_name.lower())
-    if row is not None and row[2] == k:
+    if row is not None and row[0] == width and row[2] == k:
         return row[3]
     return None

@@ -35,6 +35,13 @@ cnot 4 1
 """
 
 
+# labels json.dumps must escape: quote, backslash, non-ASCII (one outside the
+# BMP, so a surrogate pair) and control characters that are not whitespace;
+# "h"/"H" are equal up to case, and the upper() of "\u00df" and "\ufb01" is longer
+ODD_LABELS = ["cnot", 'a"b', "back\\slash", "\u00e9", "\u03c8", "\U0001f642", "\x00\x7f",
+              "\x08", "\u00df", "\ufb01", "h", "H"]
+
+
 @pytest.fixture
 def circ3():
     return parse_circuit(SAMPLE3, name="sample3")

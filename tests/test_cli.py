@@ -6,13 +6,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcpart import (PartitionAssignment, dp_table, parse_circuit, qc_to_bigraph, subset_of,
-                    trace_execution, trace_to_records, weight_matrix)
+from qcpart import (Circuit, PartitionAssignment, dp_table, parse_circuit, qc_to_bigraph,
+                    render_circuit, subset_of, trace_execution, trace_to_records, weight_matrix)
 from qcpart import cli
 from qcpart.cli import main, parse_gen_spec, parse_int_list
-from conftest import SAMPLE3, SAMPLE4, SAMPLE4H
+from conftest import ODD_LABELS, SAMPLE3, SAMPLE4, SAMPLE4H, build_random_circuit
 
 
 @pytest.fixture
@@ -208,6 +209,43 @@ def test_report_json_round_trip(capsys, sample4):
         circ.width, [subset_of(q - 1 for q in part) for part in data["assignment"]])
     assert data["trace"] == trace_to_records(trace_execution(circ, assignment))
     assert data["dp_table"] == dp_table(w, 3).payload()
+
+
+def test_report_json_matches_json_dumps(tmp_path, monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "emit_report", lambda report, args: reports.append(report))
+    rng = np.random.default_rng(15)
+    for i in range(12):
+        n = int(rng.integers(2, 8))
+        c = build_random_circuit(rng, n, int(rng.integers(0, 60)))
+        path = tmp_path / f"odd{i}.qc"
+        path.write_text(render_circuit(Circuit(n, [str(rng.choice(ODD_LABELS)) for _ in c.labels],
+                                               c.ends)), encoding="utf-8")
+        k = int(rng.integers(1, min(n, 4) + 1))
+        cap = ["--max-part-size", str(n - k + 1)] if i % 2 else []
+        assert main(["partition", "--circuit", str(path), "--parts", str(k), "--trace",
+                     "--table", "--format", "json", *cap]) == 0
+    assert len(reports) == 12
+    for report in reports:
+        fields = {name: trace_to_records(value) if name == "trace"
+                  else value.payload() if name == "dp_table" else value
+                  for name, value in vars(report).items() if value is not None}
+        assert {"trace", "dp_table", "wall_time_ms"} <= fields.keys()
+        assert report.to_json() == json.dumps(fields, indent=2)
+
+
+def test_reported_cost_needs_the_stored_width(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # flip_flop is stored as 8 qubits at K=3 with cost 8
+    Path("flip_flop.qc").write_text("qubits 8\n" + "".join(
+        f"cnot {q} {q + 1}\n" for q in range(1, 8)))
+    _, out, _ = run_cli(capsys, "partition", "--circuit", "flip_flop.qc", "--parts", "3",
+                        "--format", "json", "--no-timing")
+    assert json.loads(out)["references"]["cost"]["reported_cost"] == 8
+    Path("flip_flop.qc").write_text("qubits 4\ncnot 1 2\ncnot 2 3\ncnot 3 4\n")
+    _, out, _ = run_cli(capsys, "partition", "--circuit", "flip_flop.qc", "--parts", "3",
+                        "--format", "text", "--no-timing")
+    assert "reported reference" not in out
 
 
 def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):

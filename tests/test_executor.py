@@ -21,7 +21,8 @@ from qcpart import (
     trace_to_text,
     weight_matrix,
 )
-from conftest import build_random_circuit
+from conftest import ODD_LABELS, build_random_circuit
+from parse_reference import reference_trace
 
 
 def test_nine_gate_sample_trace(circ4h):
@@ -144,21 +145,45 @@ def test_trace_records(circ4h):
     }
 
 
-# labels json.dumps must escape: quote, backslash, non-ASCII (one outside the
-# BMP, so a surrogate pair) and control characters that are not whitespace
-ODD_LABELS = ["cnot", 'a"b', "back\\slash", "\u00e9", "\u03c8", "\U0001f642", "\x00\x7f",
-              "\x08", "\u00df"]
-
-
-def test_trace_to_json_matches_json_dumps():
+def render_cases():
+    """(circuit, assignment) pairs for the trace renderers: the empty circuit,
+    random circuits with ODD_LABELS (one label on both single- and two-qubit
+    gates), many gates on a few keys, every gate its own label, K up to 4."""
     rng = np.random.default_rng(61)
-    empty = trace_execution(Circuit(width=2), PartitionAssignment.from_parts(2, [0b11]))
-    assert trace_to_json(empty) == json.dumps(trace_to_records(empty), indent=2) == "[]"
+    yield Circuit(width=2), PartitionAssignment.from_parts(2, [0b11])
+    circuits = []
     for _ in range(30):
         n = int(rng.integers(1, 8))
         c = build_random_circuit(rng, n, int(rng.integers(0, 40)))
-        c = Circuit(n, [str(rng.choice(ODD_LABELS)) for _ in c.labels], c.ends)
+        circuits.append(Circuit(n, [str(rng.choice(ODD_LABELS)) for _ in c.labels], c.ends))
+    c = build_random_circuit(rng, 3, 300)  # 300 gates, at most 6 two-qubit and 3 one-qubit keys
+    circuits.append(Circuit(3, ["\u00df" if q < 0 else "h" for q in c.ends[:, 0]], c.ends))
+    c = build_random_circuit(rng, 6, 50)
+    circuits.append(Circuit(6, [f"g{i}" for i in range(c.size)], c.ends))
+    for c in circuits:
         w = weight_matrix(qc_to_bigraph(c))
-        for k in range(1, min(n, 3) + 1):
-            trace = trace_execution(c, dp_partition(w, k).assignment)
-            assert trace_to_json(trace) == json.dumps(trace_to_records(trace), indent=2)
+        for k in range(1, min(c.width, 4) + 1):
+            yield c, dp_partition(w, k).assignment
+            yield c, PartitionAssignment.from_labels(rng.permutation(c.width) % k)
+
+
+def test_trace_to_json_matches_json_dumps():
+    for c, assignment in render_cases():
+        trace = trace_execution(c, assignment)
+        expected = json.dumps(trace_to_records(trace), indent=2)
+        assert trace_to_json(trace) == expected
+        if not c.size:
+            assert expected == "[]"
+
+
+def test_trace_rows_match_reference():
+    for c, assignment in render_cases():
+        assert list(trace_execution(c, assignment).rows()) == reference_trace(c, assignment)
+
+
+def test_trace_renders_distinct_gates_once(circ4h):
+    assignment = PartitionAssignment.from_parts(4, [0b1011, 0b0100])
+    code, keys = trace_execution(circ4h, assignment)._distinct()
+    # gates 1 and 8 are both CNOT 1 2 inside p0: one key, rendered once
+    assert len(keys) == 8 and code[0] == code[7]
+    assert keys[code[0]] == ("CNOT(q1,q2,p0)", LOCAL, (0,))
