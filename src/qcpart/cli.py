@@ -88,30 +88,48 @@ class RunReport:
         return "".join(pieces)  # one copy of the trace and the table
 
 
-def parse_int_list(spec: str) -> list[int]:
-    """'3' -> [3]; '3,5' -> [3, 5]; '1..4' -> [1, 2, 3, 4]; mixes allowed."""
-    out: list[int] = []
+def _int_ranges(spec: str) -> list[range]:
+    """The checked ranges of a list spec such as '1,3..5', none expanded."""
+    ranges = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty entry in list {spec!r}")
-        if ".." in chunk:
-            lo_s, hi_s = chunk.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"descending range {chunk!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(chunk))
-    return out
+        lo_s, dots, hi_s = chunk.partition("..")
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+        if hi < lo:
+            raise ValueError(f"descending range {chunk!r}")
+        ranges.append(range(lo, hi + 1))
+    return ranges
 
 
-def parse_gen_spec(spec: str) -> tuple[str, list[int]]:
+def parse_int_list(spec: str) -> list[int]:
+    """'3' -> [3]; '3,5' -> [3, 5]; '1..4' -> [1, 2, 3, 4]; mixes allowed."""
+    return [i for r in _int_ranges(spec) for i in r]
+
+
+def _single_int(spec: str, message: str) -> int:
+    """The one value of a list spec, else ValueError(message). Values are
+    counted from the ranges' bounds, so a wide range is never expanded."""
+    ranges = _int_ranges(spec)
+    if sum(r.stop - r.start for r in ranges) != 1:
+        raise ValueError(message)
+    return ranges[0].start
+
+
+def _split_gen_spec(spec: str) -> tuple[str, str]:
+    """The generator name and the size list spec of ``name:sizes``."""
     name, sep, sizes = spec.partition(":")
     if not sep or not sizes:
         raise ValueError(f"generator spec must look like qft:4 or qft:4..8, got {spec!r}")
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}")
+    return name, sizes
+
+
+def parse_gen_spec(spec: str) -> tuple[str, list[int]]:
+    name, sizes = _split_gen_spec(spec)
     return name, parse_int_list(sizes)
 
 
@@ -141,10 +159,9 @@ def _single_circuit(args, check_width_of) -> tuple[Circuit, int | None]:
     if args.circuit:
         return _checked_circuit(args.circuit, args, check_width_of)
     if args.gen:
-        name, sizes = parse_gen_spec(args.gen)
-        if len(sizes) != 1:
-            raise ValueError("this command takes a single generator size, e.g. qft:4")
-        return _checked_circuit((name, sizes[0]), args, check_width_of)
+        name, sizes = _split_gen_spec(args.gen)
+        size = _single_int(sizes, "this command takes a single generator size, e.g. qft:4")
+        return _checked_circuit((name, size), args, check_width_of)
     raise ValueError(NO_INPUT)
 
 
@@ -155,10 +172,7 @@ def _elapsed_ms(args, t0: float) -> int | None:
 
 
 def _single_k(args) -> int:
-    ks = parse_int_list(args.parts)
-    if len(ks) != 1:
-        raise ValueError("this command takes a single K; use bench for sweeps")
-    return ks[0]
+    return _single_int(args.parts, "this command takes a single K; use bench for sweeps")
 
 
 def _dp_cap(args, width: int) -> int | None:

@@ -32,7 +32,8 @@ of the 3^L disjoint low-bit pairs sorted by union, and the high bits, whose
 gathered once, then paired with every disjoint rest); ``np.minimum.reduceat``
 takes each union's minimum. Only the full mask is needed at the last level
 of a partition, and there the loop takes one vector op over the 2^(n-1)
-submasks, whatever the scan.
+submasks, whatever the scan, and keeps that one entry. A solve returns
+the split that the back-pointers give from the full mask down.
 
 A partition solve with K >= 3 first tries a pruned search over admissible
 peels. Let U be the cost of any feasible K-split within the cap. Every part
@@ -52,7 +53,7 @@ adding a peel only splits the rest further, so that cost never drops and
 a prefix above U cannot lead to an optimal split. Neither can one whose
 rest cannot fit the cap in the parts still to come. The answer is the
 cheapest full tuple, the lexicographically first on a tie, and it is the
-dense schedule's path. Parts are unordered, and every state on a path
+dense schedule's split. Parts are unordered, and every walked state
 holds qubit 0, so any order of an optimal split's peels is an optimal
 peel sequence. The dense schedule follows the lowest optimal peel at each
 level, which yields the lexicographically first optimal sequence. A
@@ -62,10 +63,10 @@ that first sequence is ascending: the search's tuple.
 When the search gives up, a level schedule runs. The bounded-peel scan
 (``_peel_scan``) takes the packed-key minimum over T only, one np.minimum
 per peel over the strided view of the states that contain it. Skipping the
-other peels changes nothing on the reconstruction path: a peel that is
-optimal at a state on the path extends to an optimal split, all of whose
-parts lie in T, so the path's costs are exact and its lowest optimal peel
-is the dense schedule's. Every other entry of a bounded level may sit
+other peels changes nothing at the states the walk visits: a peel that is
+optimal at one of them extends to an optimal split, all of whose parts
+lie in T, so their costs are exact and their lowest optimal peels are the
+dense schedule's. Every other entry of a bounded level may sit
 above its true optimum (never below it). The shared last level stays
 exact: a peel outside T is above the cap (an unreachable key), leaves
 fewer than K-1 qubits (level K-1 cost INF) or cuts more than U >= OPT, so
@@ -193,7 +194,8 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool, scan
     """Levels 2..kmax over the masks that hold qubit 0 of ``win``'s qubits,
     indexed by mask >> 1, as (cost, peeled submask) array pairs. ``scan(akey,
     bkey)`` gives a level's packed keys. With ``last_full_only`` the last
-    level holds only the full mask, one vector op over its submasks."""
+    level holds only the full mask, as 1-element arrays from one vector op
+    over its submasks."""
     bits = win.size.bit_length() - 2
     size = 1 << bits
     wodd = win[1::2]
@@ -204,12 +206,11 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool, scan
     for k in range(2, kmax + 1):
         bkey = np.where(cost < INF, (cost - wodd) << bits, _KEY_INF)
         if last_full_only and k == kmax:
-            key = np.full(size, _KEY_INF)
-            key[-1] = (akey + bkey[::-1]).min()
+            key = (akey + bkey[::-1]).min(keepdims=True)  # the full mask alone
         else:
             key = scan(akey, bkey)
         reach = key < _KEY_REACH
-        cost = np.where(reach, wodd + (key >> bits), INF)
+        cost = np.where(reach, wodd[-key.size:] + (key >> bits), INF)
         levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))
     return levels
 
@@ -274,19 +275,19 @@ def _admissible_peels(win: np.ndarray, kmax: int, cap: int, bound: int) -> tuple
 
 
 def _search(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray, sizes: np.ndarray,
-            bound: int, budget: int, most: int) -> list | None:
-    """The reconstruction path (see ``solve``) of the cheapest split into
-    kmax - 1 of ``peels`` (of ``sizes`` qubits) plus a rest that holds qubit
-    0 and fits the cap,
-    where ``bound`` is the cost of some such split; on a tie the
-    lexicographically first ascending tuple of peels wins. Tuples grow one
-    peel at a time, each prefix t1 < .. < tj extended by every later peel
-    (a cell). A prefix cuts win[V] - win[V \\ (t1|..|tj)] - sum of win[ti],
-    which never drops as peels are added, so a prefix above ``bound`` is
-    dropped, and so is one whose rest cannot fit the cap in the parts left.
-    Returns None once the cells to examine exceed ``budget`` or the
-    surviving prefixes of one length exceed ``most``. Cells are examined in
-    chunks of at most 2^(n-1)."""
+            bound: int, budget: int, most: int) -> tuple | None:
+    """The cost and the peels (as ``solve`` returns them) of the cheapest
+    split into kmax - 1 of ``peels`` (of ``sizes`` qubits) plus a rest that
+    holds qubit 0 and fits the cap, where ``bound`` is the cost of some such
+    split; on a tie the lexicographically first ascending tuple of peels
+    wins. Tuples grow one peel at a time, each prefix t1 < .. < tj extended
+    by every later peel (a cell). A prefix cuts
+    win[V] - win[V \\ (t1|..|tj)] - sum of win[ti], which never drops as
+    peels are added, so a prefix above ``bound`` is dropped, and so is one
+    whose rest cannot fit the cap in the parts left. ``win`` gives only
+    these prefix costs. Returns None once the cells to examine exceed
+    ``budget`` or the surviving prefixes of one length exceed ``most``.
+    Cells are examined in chunks of at most 2^(n-1)."""
     bits = win.size.bit_length() - 2
     size = 1 << bits
     wodd, weven = win[1::2], win[0::2][peels]
@@ -341,28 +342,20 @@ def _search(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray, sizes: np.n
             steps.append((pref, last))
     if best is None:
         raise QcpartError(f"no split within the cost {bound} of a feasible split")
-    _, p, j = best
-    parts = [int(peels[j]) << 1]
+    cost, p, j = best
+    split = [int(peels[j]) << 1]
     for pref, last in reversed(steps):
-        parts.append(int(peels[last[p]]) << 1)
+        split.append(int(peels[last[p]]) << 1)
         p = int(pref[p])
-    parts.reverse()
-    state = win.size - 1
-    inside = int(win[state ^ sum(parts)]) + sum(int(win[t]) for t in parts)
-    path = []
-    for t in parts:  # a state's cost: its weight less the weight inside its parts
-        path.append((int(win[state]) - inside, t))
-        state ^= t
-        inside -= int(win[t])
-    return path
+    return cost, split[::-1]
 
 
 def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple[str, object]:
     """The schedule of a solve, with what it needs, chosen by counted work:
-    ("search", path) when ``_search`` finishes within a budget of cells
-    worth half the cheaper level schedule's work, else ("bounded", peels)
-    when the bounded schedule does less work than the dense one, else
-    ("dense", None)."""
+    ("search", (cost, peels)), the split ``_search`` found, when it finishes
+    within a budget of cells worth half the cheaper level schedule's work,
+    else ("bounded", peels) when the bounded schedule does less work than
+    the dense one, else ("dense", None)."""
     bits = win.size.bit_length() - 2
     dense = (kmax - 2) * 3 ** bits
     if full_table or kmax < 3 or dense < BOUND_FLOOR:
@@ -371,10 +364,10 @@ def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple[str, o
     peels, sizes = _admissible_peels(win, kmax, cap, bound)
     updates = int((1 << (bits - sizes)).sum())
     bounded = (kmax - 2) * (PEEL_ELEMENT_COST * updates + PEEL_CHARGE * peels.size)
-    path = _search(win, kmax, cap, peels, sizes, bound,
-                   min(dense, bounded) // (2 * SEARCH_CELL_COST), 1 << bits)
-    if path is not None:
-        return "search", path
+    split = _search(win, kmax, cap, peels, sizes, bound,
+                    min(dense, bounded) // (2 * SEARCH_CELL_COST), 1 << bits)
+    if split is not None:
+        return "search", split
     return ("bounded", peels) if bounded < dense else ("dense", None)
 
 
@@ -416,17 +409,17 @@ def _peel_scan(peels: np.ndarray, bits: int):
     return scan
 
 
-def _walk(levels: list, shift: int) -> list:
-    """The reconstruction path through level arrays (``(cost, peeled
-    submask)`` pairs for levels 2..kmax, mask m at index m >> shift): from
-    the full mask at level kmax down to level 2, each state's cost and
-    peel, the next state being the state without its peel."""
-    mask = (levels[-1][0].size << shift) - 1
-    path = []
-    for cost, choice in reversed(levels):
-        path.append((cost.item(mask >> shift), choice.item(mask >> shift)))
-        mask ^= path[-1][1]
-    return path
+def _walk(levels: list, shift: int) -> tuple:
+    """The full mask's optimum and its lowest optimal peels (as ``solve``
+    returns them), read from level arrays: ``(cost, peeled submask)`` pairs
+    for levels 2..kmax, mask m at index m >> shift, the full mask last.
+    Each level's state is the one above without its peel."""
+    mask = -1  # the full mask with every higher bit set too: indexes count from the end
+    peels = []
+    for _, choice in reversed(levels):
+        peels.append(choice.item(mask >> shift))
+        mask ^= peels[-1]
+    return levels[-1][0].item(-1), peels
 
 
 def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
@@ -443,13 +436,13 @@ def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
     win = _internal_weights(w)
     schedule, found = plan(win, kmax, cap, full_table)
     if schedule == "search":
-        return found, None
+        return (*found, None)
     if schedule == "bounded":
         scan = _peel_scan(found, n - 1)
     else:  # every convolution of this solve shares one scratch
         scan = partial(_convolve, scratch=_scratch(n - 1))
     if not full_table:
-        return _walk(_odd_levels(win, kmax, cap, True, scan), 1), None
+        return (*_walk(_odd_levels(win, kmax, cap, True, scan), 1), None)
     size = 1 << n
     levels = [(np.full(size, INF), np.zeros(size, dtype=np.int64)) for _ in range(2, kmax + 1)]
     for b in range(n):
@@ -457,25 +450,25 @@ def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
         for (c, s), (cf, sf) in zip(_odd_levels(win[::1 << b], kmax, cap, False, scan), levels):
             cf[sl] = c
             sf[sl] = s << b
-    return _walk(levels, 0), levels
+    return (*_walk(levels, 0), levels)
 
 
 def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> tuple:
     """Run the DP over an n x n weight array. ``cap`` bounds part sizes
-    (pass n for unconstrained). Returns ``(path, levels)``.
+    (pass n for unconstrained). Returns ``(cost, peels, levels)``.
 
-    ``path`` is the reconstruction path: for each level from kmax down to
-    2, the pair (cost, peel), where the level's state is the full mask
-    without the peels above it, cost is that state's optimum (INF when
-    unreachable) and peel is its lowest optimal peeled submask (0 when
-    unreachable). The rest left after the last peel is the final part.
+    ``cost`` is the full mask's optimum over kmax parts (INF when no split
+    fits the cap). ``peels`` are the kmax - 1 parts of its split peeled
+    from level kmax down to 2, each the lowest optimal peeled submask of
+    the full mask without the peels before it (0 when unreachable); the
+    rest after the last peel is the final part. Both are plain ints.
 
     ``levels`` is None for a partition solve, whose schedule is ``plan``'s.
     With ``full_table`` it holds levels 1..kmax, every entry exact, as
     ``(cost, peeled submask)`` int64 array pairs indexed by mask; level 1
     costs 0 where the mask fits the cap, else INF."""
-    path, levels = _run(w, kmax, cap, full_table) if kmax >= 2 else ([], [])
+    cost, peels, levels = _run(w, kmax, cap, full_table) if kmax >= 2 else (0, [], [])
     if not full_table:
-        return path, None
+        return cost, peels, None
     one = np.where(_popcounts(w.shape[0]) <= cap, 0, INF)
-    return path, [(one, np.zeros_like(one)), *levels]
+    return cost, peels, [(one, np.zeros_like(one)), *levels]

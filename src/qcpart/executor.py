@@ -111,12 +111,18 @@ def format_ratio(r: Fraction) -> str:
 
 
 def trace_to_text(trace: Trace) -> str:
-    """Aligned three-column table: # of Gate, Gate_name, Type (L/G)."""
-    rows = [("# of Gate", "Gate_name", "Type")] + [
-        (f"g{gate}", rendering, "G" if kind == GLOBAL else "L")
-        for gate, rendering, kind, _, _ in trace.rows()]
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join("  ".join(map(str.ljust, r, widths)).rstrip() + "\n" for r in rows)
+    """Aligned three-column table: # of Gate, Gate_name, Type (L/G); each
+    distinct gate is padded once, and the rows are joined once."""
+    code, keys = trace._distinct()
+    first = max(len("# of Gate"), len(f"g{len(code)}"))
+    second = max([len("Gate_name"), *(len(rendering) for rendering, _, _ in keys)])
+    middles = np.array([f"  {rendering:<{second}}  {'G' if kind == GLOBAL else 'L'}\n"
+                        for rendering, kind, _ in keys], dtype=object)
+    pieces = np.empty((len(code), 2), dtype=object)
+    pieces[:, 0] = [f"g{gate}".ljust(first) for gate in range(1, len(code) + 1)]
+    pieces[:, 1] = middles[code]
+    return "".join([f"{'# of Gate':<{first}}  {'Gate_name':<{second}}  Type\n",
+                    *pieces.ravel().tolist()])
 
 
 def trace_to_records(trace: Trace) -> list[dict]:

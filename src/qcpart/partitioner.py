@@ -255,28 +255,20 @@ def check_width(n: int, cap: int | None = None) -> None:
         )
 
 
-def _reconstruct(n: int, path: list) -> tuple[int, list[QubitSubset]]:
-    """Cost and parts of the reconstruction path of a ``dpcore.solve``: the
-    peel of every level, then the rest."""
-    mask = (1 << n) - 1
-    if not path:  # one part
-        return 0, [mask]
-    if path[0][0] >= INF:
+def _reconstruct(n: int, cost: int, peels: list) -> list[QubitSubset]:
+    """Parts of the split a ``dpcore.solve`` found: its peels, then the rest."""
+    if cost >= INF:
         raise QcpartError("no feasible partition found for a feasible problem")
-    parts = []
-    for _, s in path:
-        if s == 0:  # a reachable state always peels a non-empty part
-            raise QcpartError("memo table has no back-pointer for a reachable state")
-        parts.append(s)
-        mask ^= s
-    parts.append(mask)
-    return path[0][0], parts
+    if 0 in peels:  # a reachable state always peels a non-empty part
+        raise QcpartError("memo table has no back-pointer for a reachable state")
+    return [*peels, ((1 << n) - 1) ^ sum(peels)]
 
 
 def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
-           full_table: bool) -> tuple[int, list, list | None]:
+           full_table: bool) -> tuple[int, int, list, list | None]:
     """Check the problem, then run ``dpcore.solve``. Returns the effective
-    part cap, the solve's path and its levels (None unless ``full_table``)."""
+    part cap, the solve's cost and peels, and its levels (None unless
+    ``full_table``)."""
     n = w.n
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
@@ -305,23 +297,15 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     many qubits. ``keep_table`` retains the full memo table on the result.
     ``cap`` overrides the qubit-count guardrail (default 24).
 
-    Without ``keep_table`` the solve returns only the reconstruction path,
-    and for K >= 3 ``dpcore.plan`` first searches the admissible peels:
-    those whose cut is at most the cost U of a cheap feasible split and
-    whose size is at most min(cap, n-K+1), since no part of an optimal
-    split can be any other. The search extends ascending tuples of
-    disjoint peels, drops every prefix that already cuts more than U, and
-    returns the cheapest tuple, the lexicographically first on a tie,
-    which is the path the dense DP's tie rule follows. When the cells it
-    would examine exceed a budget counted from the level schedules' work,
-    the solve runs the bounded-peel levels or the dense scan instead,
-    whichever counts less work. Either way the cost and the assignment are
-    the dense DP's. With ``keep_table`` the full table is always solved
-    densely, and its levels come back with the path.
+    Without ``keep_table`` the solve returns only the split it found, by
+    the route ``dpcore.plan`` picks from counted work: at K >= 3 a pruned
+    search over the peels that can be a part of an optimal split, else the
+    bounded-peel levels or the dense scan (see ``dpcore``). Every route
+    gives the dense DP's cost and assignment. With ``keep_table`` the full
+    table is always solved densely, and its levels come back with the split.
     """
-    effective_cap, path, levels = _solve(w, k, max_part_size, cap, keep_table)
-    cost, parts = _reconstruct(w.n, path)
-    assignment = PartitionAssignment.from_parts(w.n, parts)
+    effective_cap, cost, peels, levels = _solve(w, k, max_part_size, cap, keep_table)
+    assignment = PartitionAssignment.from_parts(w.n, _reconstruct(w.n, cost, peels))
     if max(assignment.sizes()) > effective_cap:
         raise QcpartError(f"DP assignment has a part above the cap of {effective_cap} qubits")
     recount = assignment_cost(assignment, w)
@@ -337,7 +321,7 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
 
 def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
     """Full memo table over every non-empty mask and 1 <= level <= k."""
-    return DpTable(w.n, k, _solve(w, k, None, cap, True)[2])
+    return DpTable(w.n, k, _solve(w, k, None, cap, True)[3])
 
 
 @lru_cache(maxsize=None)

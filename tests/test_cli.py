@@ -65,6 +65,29 @@ def test_parse_gen_spec():
         parse_gen_spec("nope:4")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "--gen", "qft:4", "--parts", "1..1000000000000000"], "single K"),
+    (["oracle", "--gen", "qft:4", "--parts", "2,1..1000000000000000"], "single K"),
+    (["oracle", "--gen", "qft:1..1000000000000000", "--parts", "2"], "single generator size"),
+    (["partition", "--gen", "qft:3,4", "--parts", "2"], "single generator size"),
+])
+def test_single_value_spec_refused_unexpanded(capsys, argv, message):
+    # a one-value command counts a spec's values from its ranges' bounds, so
+    # a 10^15-wide range is refused at once, not after expanding it
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and message in err
+
+
+def test_single_value_spec_accepts_a_one_value_range(capsys):
+    code, out, _ = run_cli(capsys, "partition", "--gen", "qft:4..4", "--parts", "3..3",
+                           "--format", "csv", "--no-timing")
+    assert code == 0
+    assert out == run_cli(capsys, "partition", "--gen", "qft:4", "--parts", "3",
+                          "--format", "csv", "--no-timing")[1]
+
+
 # --- partition -----------------------------------------------------------------
 
 def test_partition_json(capsys, sample4):

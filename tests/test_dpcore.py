@@ -11,7 +11,7 @@ import pytest
 from qcpart import (QcpartError, SizeCapError, WeightMatrix, dp_partition, dp_table, gen_qft,
                     qc_to_bigraph, weight_matrix)
 from qcpart import dpcore
-from qcpart.partitioner import DpTable, _reconstruct
+from qcpart.partitioner import DpTable
 from conftest import build_random_circuit
 from dp_reference import reference_solve
 
@@ -30,16 +30,25 @@ def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
 
 
 def _bounded(win: np.ndarray, peels: np.ndarray, kmax: int, cap: int) -> list:
-    """The bounded schedule's reconstruction path."""
+    """The bounded schedule's levels."""
     scan = dpcore._peel_scan(peels, win.size.bit_length() - 2)
-    return dpcore._walk(dpcore._odd_levels(win, kmax, cap, True, scan), 1)
+    return dpcore._odd_levels(win, kmax, cap, True, scan)
 
 
 def _searched(win: np.ndarray, bound: int, peels: np.ndarray, sizes: np.ndarray, kmax: int,
-              cap: int, budget: int = 1 << 18) -> list | None:
-    """The pruned search's path, or None past ``budget`` cells or surviving
-    prefixes (sparse circuits at 6-13 qubits can need millions)."""
+              cap: int, budget: int = 1 << 18) -> tuple | None:
+    """The pruned search's cost and peels, or None past ``budget`` cells or
+    surviving prefixes (sparse circuits at 6-13 qubits can need millions)."""
     return dpcore._search(win, kmax, cap, peels, sizes, bound, budget, budget)
+
+
+def _reference_split(ref_cost: list, ref_choice: list, n: int, kmax: int) -> tuple:
+    """The full mask's optimum and its peels, walked down the reference levels."""
+    mask, peels = (1 << n) - 1, []
+    for k in range(kmax, 1, -1):
+        peels.append(ref_choice[k][mask])
+        mask ^= peels[-1]
+    return ref_cost[kmax][(1 << n) - 1], peels
 
 
 def _random_w(rng, n: int, gates: int) -> np.ndarray:
@@ -57,7 +66,7 @@ def test_engine_matches_scalar_reference():
             kmax = int(rng.integers(2, min(n, 5) + 1))
             for cap in (n, int(rng.integers(-(-n // kmax), n))):
                 ref_cost, ref_choice = reference_solve(w, kmax, cap, full_table=True)
-                table = DpTable(n, kmax, dpcore.solve(w, kmax, cap, full_table=True)[1])
+                table = DpTable(n, kmax, dpcore.solve(w, kmax, cap, full_table=True)[2])
                 for k in range(2, kmax + 1):
                     for mask in range(1, 1 << n):
                         cost, choice = table.cost_at(mask, k), table.choice_at(mask, k)
@@ -66,34 +75,38 @@ def test_engine_matches_scalar_reference():
                         # plain ints: the CLI's --table JSON serializes them
                         assert cost is None or type(cost) is int
                         assert choice is None or type(choice) is int
-                # the dense schedule is exact at every odd mask, indexed by mask >> 1
+                # the dense schedule is exact at every odd mask, indexed by
+                # mask >> 1; its top level holds the full mask alone
                 ref_cost, ref_choice = reference_solve(w, kmax, cap)
                 levels = _dense(w, kmax, cap)
+                assert levels[-1][0].size == levels[-1][1].size == 1
                 for k in range(2, kmax + 1):
                     costs, choices = levels[k - 2]
                     for mask in range(1, 1 << n, 2) if k < kmax else ((1 << n) - 1,):
-                        cost = costs.item(mask >> 1)
+                        at = mask >> 1 if k < kmax else 0
+                        cost = costs.item(at)
                         assert (cost if cost < dpcore.INF else None) == ref_cost[k].get(mask), \
                             (n, kmax, cap, False, k, mask)
-                        assert (choices.item(mask >> 1) or None) == ref_choice[k].get(mask), \
+                        assert (choices.item(at) or None) == ref_choice[k].get(mask), \
                             (n, kmax, cap, False, k, mask)
-                # the bounded schedule, the search and the planned solve are
-                # exact on the reconstruction path: every state's cost and
-                # back-pointer from the full mask down
+                # the bounded schedule is exact at the states its walk visits:
+                # each one's cost and back-pointer, from the full mask down
+                want = _reference_split(ref_cost, ref_choice, n, kmax)
                 win, bound, peels, sizes = _peels(w, kmax, cap)
-                paths = [_bounded(win, peels, kmax, cap), dpcore.solve(w, kmax, cap)[0]]
+                levels = _bounded(win, peels, kmax, cap)
+                mask = (1 << n) - 1
+                for k, (costs, choices) in zip(range(kmax, 1, -1), reversed(levels)):
+                    at, where = (mask >> 1 if k < kmax else 0), (n, kmax, cap, k, mask)
+                    assert costs.item(at) == ref_cost[k][mask], where
+                    assert choices.item(at) == ref_choice[k][mask], where
+                    mask ^= choices.item(at)
+                # the walk, the search and the planned solve return the split
+                splits = [dpcore._walk(levels, 1), dpcore.solve(w, kmax, cap)[:2]]
                 if kmax >= 3:
-                    paths.append(_searched(win, bound, peels, sizes, kmax, cap))
-                    searched += paths[-1] is not None
-                for path in filter(None, paths):
-                    assert len(path) == kmax - 1
-                    mask = (1 << n) - 1
-                    for k, (cost, peel) in zip(range(kmax, 1, -1), path):
-                        where = (n, kmax, cap, k, mask)
-                        assert cost == ref_cost[k][mask], where
-                        assert peel == ref_choice[k][mask], where
-                        assert type(cost) is int and type(peel) is int
-                        mask ^= peel
+                    splits.append(_searched(win, bound, peels, sizes, kmax, cap))
+                    searched += splits[-1] is not None
+                for split in filter(None, splits):
+                    assert split == want, (n, kmax, cap)
     assert searched >= 25
 
 
@@ -109,13 +122,13 @@ def test_bounded_schedule_matches_dense_seeded():
         w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
         tight = -(-n // kmax)
         cap = (n, tight, int(rng.integers(tight, n + 1)))[case % 3]
-        dense = _reconstruct(n, dpcore._walk(_dense(w, kmax, cap), 1))
+        dense = dpcore._walk(_dense(w, kmax, cap), 1)
         win, bound, peels, sizes = _peels(w, kmax, cap)
-        assert _reconstruct(n, _bounded(win, peels, kmax, cap)) == dense, (case, n, kmax, cap)
-        path = _searched(win, bound, peels, sizes, kmax, cap) if kmax >= 3 else None
-        if path is not None:
+        assert dpcore._walk(_bounded(win, peels, kmax, cap), 1) == dense, (case, n, kmax, cap)
+        split = _searched(win, bound, peels, sizes, kmax, cap) if kmax >= 3 else None
+        if split is not None:
             searched += 1
-            assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
+            assert split == dense, (case, n, kmax, cap)
     assert searched >= 850
 
 
@@ -158,14 +171,13 @@ def test_search_matches_dense_seeded():
             w = _random_w(rng, n, int(rng.choice([n, 2 * n, 20 * n])))
         tight = -(-n // kmax)
         cap = n if qft else (n, tight, int(rng.integers(tight + 1, n)))[case % 3]
-        path = _searched(*_peels(w, kmax, cap), kmax, cap, 1 << 20)
-        if path is None:
+        split = _searched(*_peels(w, kmax, cap), kmax, cap, 1 << 20)
+        if split is None:
             continue
         searched += 1
-        dense = _reconstruct(n, dpcore._walk(_dense(w, kmax, cap), 1))
-        assert _reconstruct(n, path) == dense, (case, n, kmax, cap)
+        assert split == dpcore._walk(_dense(w, kmax, cap), 1), (case, n, kmax, cap)
         if qft:
-            assert path[0][0] == comb(n, 2) - comb(n - kmax + 1, 2), (case, n, kmax)
+            assert split[0] == comb(n, 2) - comb(n - kmax + 1, 2), (case, n, kmax)
     assert searched >= 32
 
 
@@ -207,8 +219,8 @@ def test_capped_bound_routes_the_search():
     w = _job(5, 16, 32)
     win = dpcore._internal_weights(w)
     assert dpcore._upper_bound(win, 4, 10) <= 4
-    schedule, path = dpcore.plan(win, 4, 10, False)
-    assert schedule == "search" and path[0][0] == 3
+    schedule, (cost, _) = dpcore.plan(win, 4, 10, False)
+    assert schedule == "search" and cost == 3
     result = dp_partition(WeightMatrix(w), 4, max_part_size=10)
     assert result.cost == 3 and max(result.assignment.sizes()) <= 10
 
@@ -264,10 +276,10 @@ def test_full_tables_share_no_scratch_state():
     # table solved between two 13-qubit ones equals a fresh solve
     rng = np.random.default_rng(1213)
     w12, w13 = (_random_w(rng, n, 6 * n) for n in (12, 13))
-    fresh = dpcore.solve(w12, 4, 12, full_table=True)[1]
-    first = dpcore.solve(w13, 4, 5, full_table=True)[1]
-    between = dpcore.solve(w12, 4, 12, full_table=True)[1]
-    last = dpcore.solve(w13, 4, 5, full_table=True)[1]
+    fresh = dpcore.solve(w12, 4, 12, full_table=True)[2]
+    first = dpcore.solve(w13, 4, 5, full_table=True)[2]
+    between = dpcore.solve(w12, 4, 12, full_table=True)[2]
+    last = dpcore.solve(w13, 4, 5, full_table=True)[2]
     for want, got in ((fresh, between), (first, last)):
         assert len(want) == len(got) == 4  # levels 1..4
         for (cost, choice), (cost2, choice2) in zip(want, got):
@@ -286,3 +298,47 @@ def test_packed_key_range_guard():
     assert dp_partition(big, 2).cost == 3
     assert dp_partition(big, 3).cost == (1 << 56) + 3
     assert dp_table(big, 3).cost_at(0b011, 2) == 1 << 56
+
+
+def test_solve_returns_plain_ints_on_every_route(monkeypatch):
+    # every route hands back the same split: the full mask's optimum and
+    # K-1 peels, all plain ints
+    rng = np.random.default_rng(0)
+    wide = _random_w(rng, 16, 320)
+    small = _random_w(rng, 10, 200)
+    routes = {}
+
+    def check(route, w, kmax, full_table=False):
+        cost, peels, levels = dpcore.solve(w, kmax, w.shape[0], full_table=full_table)
+        assert type(cost) is int and len(peels) == kmax - 1, route
+        assert all(type(peel) is int and peel for peel in peels), route
+        assert (levels is None) != full_table, route
+        routes[route] = cost, peels
+
+    assert dpcore.plan(dpcore._internal_weights(wide), 4, 16, False)[0] == "search"
+    check("search", wide, 4)
+    check("full table", small, 3, True)
+    assert dpcore.plan(dpcore._internal_weights(small), 3, 10, False) == ("dense", None)
+    check("dense", small, 3)
+    check("K=1", small, 1)
+    assert routes["K=1"] == (0, [])
+    monkeypatch.setattr(dpcore, "_search", lambda *args: None)
+    assert dpcore.plan(dpcore._internal_weights(wide), 4, 16, False)[0] == "bounded"
+    check("bounded", wide, 4)
+    assert routes["search"] == routes["bounded"]
+    assert routes["dense"] == routes["full table"]
+
+
+def test_partition_top_level_keeps_one_entry():
+    # a K=2 partition solve holds no top-level array of 2^(n-1) entries:
+    # its peak stays under 9 arrays of 2^(n-1) int64, win's 2^n included
+    n = 18
+    w = _job(1818, n, 20 * n)
+    tracemalloc.start()
+    try:
+        cost, peels, _ = dpcore.solve(w, 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cost, peels) == dpcore._walk(_dense(w, 2, n), 1)
+    assert peak < 9 * (1 << n - 1) * 8

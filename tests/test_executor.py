@@ -187,3 +187,18 @@ def test_trace_renders_distinct_gates_once(circ4h):
     # gates 1 and 8 are both CNOT 1 2 inside p0: one key, rendered once
     assert len(keys) == 8 and code[0] == code[7]
     assert keys[code[0]] == ("CNOT(q1,q2,p0)", LOCAL, (0,))
+
+
+def _row_text(trace) -> str:
+    """``trace_to_text`` as one padded row per gate, the reference renderer."""
+    rows = [("# of Gate", "Gate_name", "Type")] + [
+        (f"g{gate}", rendering, "G" if kind == GLOBAL else "L")
+        for gate, rendering, kind, _, _ in trace.rows()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.ljust, r, widths)).rstrip() + "\n" for r in rows)
+
+
+def test_trace_to_text_matches_row_renderer():
+    for c, assignment in render_cases():
+        trace = trace_execution(c, assignment)
+        assert trace_to_text(trace) == _row_text(trace)

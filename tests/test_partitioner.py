@@ -318,7 +318,7 @@ def test_table_reads_match_the_level_arrays():
         w = wmat(build_random_circuit(rng, n, int(rng.integers(0, 3 * n + 1)))).m
         for kmax in sorted({1, int(rng.integers(1, n + 1)), n}):
             for cap in sorted({n, -(-n // kmax) + int(rng.integers(0, 2))}):
-                _, levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
+                *_, levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
                 t = DpTable(n, kmax, levels)
                 masks = range(1, 1 << n)
                 fits = [mask.bit_count() <= cap for mask in masks]
@@ -526,12 +526,22 @@ def test_dp_recount_mismatch_raises(w4, monkeypatch):
 
 
 def test_dp_part_above_the_cap_raises(w4, monkeypatch):
-    # a path that peels qubit 2 alone leaves the other three in one part
+    # a split that peels qubit 2 alone leaves the other three in one part
     monkeypatch.setattr(partitioner.dpcore, "solve",
-                        lambda *args, **kwargs: ([(3, 0b0010)], None))
+                        lambda *args, **kwargs: (3, [0b0010], None))
     with pytest.raises(QcpartError, match="above the cap of 2"):
         dp_partition(w4, 2, max_part_size=2)
     assert dp_partition(w4, 2).cost == 3
+
+
+@pytest.mark.parametrize("split, message", [
+    ((dpcore.INF, [0]), "no feasible partition found"),
+    ((3, [0]), "no back-pointer for a reachable state"),
+])
+def test_dp_faulty_split_raises(w4, monkeypatch, split, message):
+    monkeypatch.setattr(partitioner.dpcore, "solve", lambda *args, **kwargs: (*split, None))
+    with pytest.raises(QcpartError, match=message):
+        dp_partition(w4, 2)
 
 
 # --- assignments ----------------------------------------------------------------
