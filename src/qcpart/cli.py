@@ -28,7 +28,7 @@ from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
 from .errors import InfeasiblePartitionError, LineError, QcpartError, SizeCapError
 from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
-                       trace_to_json_at, trace_to_text)
+                       trace_to_json, trace_to_text)
 from .partitioner import (
     DEFAULT_DP_CAP,
     DpTable,
@@ -76,9 +76,9 @@ class RunReport:
             if value is None:
                 continue
             if name == "trace":
-                body = trace_to_json_at(value, "  ")
+                body = trace_to_json(value, "  ")
             elif name == "dp_table":
-                body = value.json_string_at("  ")
+                body = value.json_string("  ")
             else:
                 # JSON escapes every newline inside a string, so this only indents
                 body = json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -141,19 +141,20 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
     return parse_circuit(text, name=name)
 
 
-def _checked_circuit(source, args, check_width_of) -> tuple[Circuit, int | None]:
+def _checked_circuit(source, args, check_width_of) -> Circuit:
     """Load the file at path ``source`` or generate ``(generator, size)``, passing
     the width to ``check_width_of(args, width)`` before gates are generated or
-    anything is sized by the width. Returns the circuit and the check's result."""
+    anything is sized by the width."""
     if isinstance(source, str):
         circuit = load_circuit(source, args.decompose_mct)
-        return circuit, check_width_of(args, circuit.width)
+        check_width_of(args, circuit.width)
+        return circuit
     name, size = source
-    checked = check_width_of(args, size)
-    return GENERATORS[name](size), checked
+    check_width_of(args, size)
+    return GENERATORS[name](size)
 
 
-def _single_circuit(args, check_width_of) -> tuple[Circuit, int | None]:
+def _single_circuit(args, check_width_of) -> Circuit:
     if args.circuit and args.gen:
         raise ValueError("give either --circuit or --gen, not both")
     if args.circuit:
@@ -175,11 +176,9 @@ def _single_k(args) -> int:
     return _single_int(args.parts, "this command takes a single K; use bench for sweeps")
 
 
-def _dp_cap(args, width: int) -> int | None:
-    """The DP's qubit cap (None: the default), after checking width against it."""
-    cap = max(DEFAULT_DP_CAP, width) if getattr(args, "force", False) else None
-    check_width(width, cap)
-    return cap
+def _dp_width(args, width: int) -> None:
+    """The DP's qubit guard, lifted by --force."""
+    check_width(width, args.force)
 
 
 def _oracle_widths(args, width: int) -> None:
@@ -320,14 +319,14 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
 
 def cmd_partition(args) -> int:
     _check_threads(args)
-    circuit, cap = _single_circuit(args, _dp_cap)
+    circuit = _single_circuit(args, _dp_width)
     k = _single_k(args)
     full = args.format != "csv"  # a CSV row drops the trace and the table
     t0 = time.perf_counter()
     graph = qc_to_bigraph(circuit)
     w = weight_matrix(graph)
     result = dp_partition(w, k, max_part_size=args.max_part_size,
-                          keep_table=args.table and full, cap=cap)
+                          keep_table=args.table and full, force=args.force)
     wall_ms = _elapsed_ms(args, t0)
     if args.dot:
         Path(args.dot).write_text(bigraph_to_dot(graph, circuit.name), encoding="utf-8")
@@ -341,7 +340,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    circuit, _ = _single_circuit(args, _oracle_widths)
+    circuit = _single_circuit(args, _oracle_widths)
     k = _single_k(args)
     t0 = time.perf_counter()
     w = weight_matrix(qc_to_bigraph(circuit))
@@ -374,7 +373,7 @@ def cmd_bench(args) -> int:
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
     for source in _bench_sources(args):
         try:
-            circuit, cap = _checked_circuit(source, args, _dp_cap)
+            circuit = _checked_circuit(source, args, _dp_width)
         except (QcpartError, OSError, ValueError) as exc:
             label = source if isinstance(source, str) else "%s:%d" % source
             for k in ks:
@@ -384,7 +383,7 @@ def cmd_bench(args) -> int:
         for k in ks:
             t0 = time.perf_counter()
             try:
-                result = dp_partition(w, k, max_part_size=args.max_part_size, cap=cap)
+                result = dp_partition(w, k, max_part_size=args.max_part_size, force=args.force)
             except QcpartError as exc:
                 writer.writerow([circuit.name, circuit.width, circuit.size, k, "", "", "", str(exc)])
                 continue

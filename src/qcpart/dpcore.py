@@ -94,9 +94,11 @@ same problem on qubits b..n-1, so the full table is n runs of the odd-mask
 solve, each scattered into per-level arrays indexed by mask. Run time grows
 as 3^n. It always runs the dense scan, so every entry is exact.
 
-A dense solve allocates ``_convolve``'s scratch (2 x 3^10 + 2^10 int64 at
-most) once, and every convolution of its levels and suffix runs works in a
-slice of it. Fresh arrays of that size per convolution can be mapped and
+A dense solve that scans a level (a full table, or K >= 3) allocates
+``_convolve``'s scratch (2 x 3^10 + 2^10 int64 at most) once, and every
+convolution of its levels and suffix runs works in a slice of it. A K=2
+partition's only level is the full mask's vector op, so it allocates
+none. Fresh arrays of that size per convolution can be mapped and
 page-faulted afresh each time: a 14-qubit K=4 full table, solved in a new
 process on a 2-core Xeon VM, took 3 800 faults and 53 ms that way against
 none and 40 ms. A process-wide buffer would hold the memory after a solve.
@@ -124,14 +126,15 @@ SEARCH_CELL_COST = 8  # dense pair-ops charged per cell the search examines
 def _internal_weights(w: np.ndarray) -> np.ndarray:
     """win[m], the total weight of the pairs inside mask m, for all 2^n
     masks: win[m | 1 << i] = win[m] + row[m] for m < 2^i, where row[m] is
-    the sum of w[j, i] over j in m. Both fill by doubling, in place."""
+    the sum of w[j, i] over j in m. Row i fills by doubling in place, in the
+    still-zero block of win that it ends up in, before win[:2^i] is added."""
     n = w.shape[0]
     win = np.zeros(1 << n, dtype=np.int64)
-    row = np.zeros(1 << n >> 1, dtype=np.int64)
     for i in range(1, n):
+        row = win[1 << i:2 << i]
         for j in range(i):
             np.add(row[:1 << j], w[j, i], out=row[1 << j:2 << j])
-        np.add(win[:1 << i], row[:1 << i], out=win[1 << i:2 << i])
+        row += win[:1 << i]
     return win
 
 
@@ -439,8 +442,8 @@ def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
         return (*found, None)
     if schedule == "bounded":
         scan = _peel_scan(found, n - 1)
-    else:  # every convolution of this solve shares one scratch
-        scan = partial(_convolve, scratch=_scratch(n - 1))
+    else:  # one scratch per solve; a K=2 partition's only level scans nothing
+        scan = partial(_convolve, scratch=_scratch(n - 1)) if full_table or kmax > 2 else None
     if not full_table:
         return (*_walk(_odd_levels(win, kmax, cap, True, scan), 1), None)
     size = 1 << n

@@ -131,14 +131,10 @@ def trace_to_records(trace: Trace) -> list[dict]:
              "teleports_so_far": n} for gate, rendering, kind, parts, n in trace.rows()]
 
 
-def trace_to_json(trace: Trace) -> str:
-    """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte."""
-    return trace_to_json_at(trace, "")
-
-
-def trace_to_json_at(trace: Trace, pad: str) -> str:
-    """``trace_to_json(trace)`` with ``pad`` after every newline, so it can sit
-    at that depth of an indent=2 document.
+def trace_to_json(trace: Trace, pad: str = "") -> str:
+    """``json.dumps(trace_to_records(trace), indent=2)``, byte for byte, with
+    ``pad`` after every newline, so it can sit at that depth of an indent=2
+    document.
 
     The standard library drops to its pure-Python encoder whenever ``indent``
     is set, so each record is joined from four strings instead: a fixed head,

@@ -198,14 +198,11 @@ class DpTable:
             out.append("".join(rows.ravel().tolist()))
         return out
 
-    def json_string(self) -> str:
+    def json_string(self, pad: str = "") -> str:
         """``json.dumps(self.payload(), indent=2)``, byte for byte, without
-        the standard library's pure-Python indent encoder."""
-        return self.json_string_at("")
-
-    def json_string_at(self, pad: str) -> str:
-        """``json_string()`` with ``pad`` after every newline, so it can sit at
-        that depth of an indent=2 document."""
+        the standard library's pure-Python indent encoder. ``pad`` follows
+        every newline, so the table can sit at that depth of an indent=2
+        document."""
         nl = "\n" + pad
         header = json.dumps(self._header, indent=2).replace("\n", nl + "  ")
         rows = self._rows(encode_basestring_ascii, "null", f"{pad}    [{nl}      ",
@@ -243,15 +240,15 @@ def assignment_cost(assignment: PartitionAssignment, w: WeightMatrix) -> int:
     return dpcore.crossing_weight(w.m, np.asarray(assignment.part_labels()))
 
 
-def check_width(n: int, cap: int | None = None) -> None:
-    """Raise SizeCapError when n qubits exceed the exact-partitioner cap
-    (default 24). Cheap enough to run before anything is allocated."""
-    dp_cap = DEFAULT_DP_CAP if cap is None else cap
-    if n > dp_cap:
+def check_width(n: int, force: bool = False) -> None:
+    """Raise SizeCapError when n qubits exceed the exact partitioner's guard
+    of DEFAULT_DP_CAP qubits, unless ``force``. Cheap enough to run before
+    anything is allocated."""
+    if n > DEFAULT_DP_CAP and not force:
         raise SizeCapError(
-            f"{n} qubits exceeds the exact-partitioner cap ({dp_cap}); the state space "
-            f"grows as 3^n. Raise the cap to proceed anyway (CLI: partition or bench "
-            f"--force), or use the brute-force oracle for tiny instances."
+            f"{n} qubits exceeds the exact-partitioner cap ({DEFAULT_DP_CAP}); the state "
+            f"space grows as 3^n. Pass force=True to proceed anyway (CLI: partition or "
+            f"bench --force), or use the brute-force oracle for tiny instances."
         )
 
 
@@ -264,30 +261,8 @@ def _reconstruct(n: int, cost: int, peels: list) -> list[QubitSubset]:
     return [*peels, ((1 << n) - 1) ^ sum(peels)]
 
 
-def _solve(w: WeightMatrix, k: int, part_cap: int | None, cap: int | None,
-           full_table: bool) -> tuple[int, int, list, list | None]:
-    """Check the problem, then run ``dpcore.solve``. Returns the effective
-    part cap, the solve's cost and peels, and its levels (None unless
-    ``full_table``)."""
-    n = w.n
-    if not 1 <= k <= n:
-        raise InfeasiblePartitionError(
-            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
-        )
-    check_width(n, cap)
-    if part_cap is not None:
-        if part_cap < 1:
-            raise InfeasiblePartitionError("max_part_size must be >= 1")
-        if k * part_cap < n:
-            raise InfeasiblePartitionError(
-                f"{k} part(s) of at most {part_cap} qubit(s) cannot cover {n} qubits"
-            )
-    effective_cap = n if part_cap is None else min(part_cap, n)
-    return effective_cap, *dpcore.solve(w.m, k, effective_cap, full_table=full_table)
-
-
 def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
-                 keep_table: bool = False, cap: int | None = None) -> PartitionResult:
+                 keep_table: bool = False, force: bool = False) -> PartitionResult:
     """Split the qubit set into exactly k non-empty parts minimizing the
     number of two-qubit gates that cross parts.
 
@@ -295,7 +270,7 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     numerically lowest peeled submask, so the returned assignment is
     deterministic. ``max_part_size`` restricts every part to at most that
     many qubits. ``keep_table`` retains the full memo table on the result.
-    ``cap`` overrides the qubit-count guardrail (default 24).
+    ``force`` lifts the qubit-count guard of ``check_width``.
 
     Without ``keep_table`` the solve returns only the split it found, by
     the route ``dpcore.plan`` picks from counted work: at K >= 3 a pruned
@@ -303,25 +278,43 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     bounded-peel levels or the dense scan (see ``dpcore``). Every route
     gives the dense DP's cost and assignment. With ``keep_table`` the full
     table is always solved densely, and its levels come back with the split.
+    Either way the split is checked before it is returned: a part within
+    the cap, and a cost equal to the assignment's recount.
     """
-    effective_cap, cost, peels, levels = _solve(w, k, max_part_size, cap, keep_table)
-    assignment = PartitionAssignment.from_parts(w.n, _reconstruct(w.n, cost, peels))
-    if max(assignment.sizes()) > effective_cap:
-        raise QcpartError(f"DP assignment has a part above the cap of {effective_cap} qubits")
+    n = w.n
+    if not 1 <= k <= n:
+        raise InfeasiblePartitionError(
+            f"cannot split {n} qubit(s) into {k} non-empty part(s)"
+        )
+    check_width(n, force)
+    if max_part_size is not None:
+        if max_part_size < 1:
+            raise InfeasiblePartitionError("max_part_size must be >= 1")
+        if k * max_part_size < n:
+            raise InfeasiblePartitionError(
+                f"{k} part(s) of at most {max_part_size} qubit(s) cannot cover {n} qubits"
+            )
+    cap = n if max_part_size is None else min(max_part_size, n)
+    cost, peels, levels = dpcore.solve(w.m, k, cap, full_table=keep_table)
+    assignment = PartitionAssignment.from_parts(n, _reconstruct(n, cost, peels))
+    if max(assignment.sizes()) > cap:
+        raise QcpartError(f"DP assignment has a part above the cap of {cap} qubits")
     recount = assignment_cost(assignment, w)
     if cost != recount:
         raise QcpartError(f"DP cost {cost} differs from its assignment's recounted cost {recount}")
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=DpTable(w.n, k, levels) if keep_table else None,
+        table=DpTable(n, k, levels) if keep_table else None,
         max_part_size=max_part_size,
     )
 
 
-def dp_table(w: WeightMatrix, k: int, *, cap: int | None = None) -> DpTable:
-    """Full memo table over every non-empty mask and 1 <= level <= k."""
-    return DpTable(w.n, k, _solve(w, k, None, cap, True)[3])
+def dp_table(w: WeightMatrix, k: int, *, force: bool = False) -> DpTable:
+    """Full memo table over every non-empty mask and 1 <= level <= k: the
+    table of ``dp_partition(w, k, keep_table=True, force=force)``, so its
+    split is checked as a partition's is."""
+    return dp_partition(w, k, keep_table=True, force=force).table
 
 
 @lru_cache(maxsize=None)

@@ -146,6 +146,8 @@ def test_weight_matrix_validation():
     with pytest.raises(ValueError, match="weights must be integers"):
         WeightMatrix(np.array([[0, 1.7], [1.7, 0]]))
     assert WeightMatrix(np.array([[0, 2.0], [2.0, 0]]))[0, 1] == 2
+    with pytest.raises(ValueError, match="at least one qubit"):
+        WeightMatrix(np.zeros((0, 0)))
 
 
 def test_non_finite_weights_raise_without_a_warning():

@@ -171,6 +171,8 @@ def test_import_real_decomposes_toffoli_pairwise():
     c = import_real(REAL_HEADER + "t3 a b c\n.end\n", decompose_mct=True)
     assert c.labels == ("cnot", "cnot") and c.ends.tolist() == [[0, 2], [1, 2]]
     assert c.decomposed_mct
+    with pytest.raises(CircuitSyntaxError, match="line 4: control and target must differ"):
+        import_real(REAL_HEADER + "t3 a b a\n", decompose_mct=True)
 
 
 def test_import_real_decomposition_preserves_touched_qubits():
@@ -194,6 +196,20 @@ def test_import_real_header_errors():
         import_real(".numvars 3\n.variables a b\n")
     with pytest.raises(CircuitSyntaxError, match="unknown variable"):
         import_real(REAL_HEADER + "t2 a z\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (".numvars\n", r"line 1: \.numvars expects one integer"),
+    (".numvars three\n", r"line 1: bad \.numvars value 'three'"),
+    (".numvars 0\n", r"line 1: \.numvars must be >= 1"),
+    (".numvars 2\nt2 a b\n.variables a b\n", "line 2: gate line before .numvars/.variables"),
+    (REAL_HEADER + "t3 a b\n", "line 4: gate 't3' expects 3 operands, got 2"),
+    (REAL_HEADER + "t2 a a\n", "line 4: control and target must differ"),
+])
+def test_import_real_line_errors(text, message):
+    for decompose in (False, True):
+        with pytest.raises(CircuitSyntaxError, match=message):
+            import_real(text, decompose_mct=decompose)
 
 
 def test_import_real_rejects_duplicate_variables():

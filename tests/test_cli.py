@@ -11,7 +11,7 @@ import pytest
 
 from qcpart import (Circuit, PartitionAssignment, dp_table, parse_circuit, qc_to_bigraph,
                     render_circuit, subset_of, trace_execution, trace_to_records, weight_matrix)
-from qcpart import cli
+from qcpart import cli, references
 from qcpart.cli import main, parse_gen_spec, parse_int_list
 from conftest import ODD_LABELS, SAMPLE3, SAMPLE4, SAMPLE4H, build_random_circuit
 
@@ -271,6 +271,23 @@ def test_reported_cost_needs_the_stored_width(capsys, tmp_path, monkeypatch):
     assert "reported reference" not in out
 
 
+def test_text_report_notes_and_references(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("flip_flop.qc").write_text("qubits 8\n" + "".join(
+        f"cnot {q} {q + 1}\n" for q in range(1, 8)))
+    code, out, _ = run_cli(capsys, "partition", "--circuit", "flip_flop.qc", "--parts", "3",
+                           "--max-part-size", "3", "--no-timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert "note: part sizes capped at 3; optimum is relative to that constraint" in lines
+    assert ("reported reference: cost=8 at K=3 (computed here: 2) -- previously reported; "
+            "reference circuit files unavailable, informational only") in lines
+    # a name that does not start with a letter has no family to look up
+    assert references.family_of("9qft") is None
+    assert references.reported_ratio("9qft", 3) is None
+    assert references.reported_ratio("qft9", 3) == (0.40, 1.00)
+
+
 def test_report_bytes_pinned(capsys, tmp_path, monkeypatch):
     (tmp_path / "sample4h.qc").write_text(SAMPLE4H)
     # a label json.dumps must escape: non-ASCII, quote, backslash
@@ -350,6 +367,17 @@ def test_partition_rejects_two_inputs(capsys, sample4):
                            "--parts", "2")
     assert code == 2
     assert "not both" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "--gen", "qft:4", "--parts", "2,,3"], "empty entry in list '2,,3'"),
+    (["partition", "--parts", "2"], cli.NO_INPUT),
+    (["oracle", "--parts", "2"], cli.NO_INPUT),
+])
+def test_bad_inputs_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_exit_parse_error(capsys, tmp_path):

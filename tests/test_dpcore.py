@@ -271,6 +271,19 @@ def test_search_rejects_a_bound_below_every_split():
         dpcore._search(win, 4, 16, peels, sizes, 2, 1 << 62, 1 << 62)
 
 
+def test_search_gives_up_or_stops_early():
+    # qft:8 is a complete graph: a peel of s qubits cuts s * (8 - s) >= 7
+    win = dpcore._internal_weights(weight_matrix(qc_to_bigraph(gen_qft(8))).m)
+    bound = dpcore._upper_bound(win, 3, 8)
+    peels, sizes = dpcore._admissible_peels(win, 3, 8, bound)
+    assert dpcore._search(win, 3, 8, peels, sizes, bound, 1 << 62, 1 << 62)[0] == 13
+    # a budget below the first extension's cells: None before any is examined
+    assert dpcore._search(win, 3, 8, peels, sizes, bound, peels.size - 1, 1 << 62) is None
+    # no first peel meets a bound of 6, so the search stops before the last peel
+    with pytest.raises(QcpartError, match="no split within the cost 6"):
+        dpcore._search(win, 3, 8, peels, sizes, 6, 1 << 62, 1 << 62)
+
+
 def test_full_tables_share_no_scratch_state():
     # each solve allocates its own convolution scratch: a 12-qubit full
     # table solved between two 13-qubit ones equals a fresh solve
@@ -330,8 +343,9 @@ def test_solve_returns_plain_ints_on_every_route(monkeypatch):
 
 
 def test_partition_top_level_keeps_one_entry():
-    # a K=2 partition solve holds no top-level array of 2^(n-1) entries:
-    # its peak stays under 9 arrays of 2^(n-1) int64, win's 2^n included
+    # a K=2 partition solve holds no top-level array of 2^(n-1) entries and
+    # no convolution scratch: its peak stays under 7.5 arrays of 2^(n-1)
+    # int64, win's 2^n included
     n = 18
     w = _job(1818, n, 20 * n)
     tracemalloc.start()
@@ -341,4 +355,4 @@ def test_partition_top_level_keeps_one_entry():
     finally:
         tracemalloc.stop()
     assert (cost, peels) == dpcore._walk(_dense(w, 2, n), 1)
-    assert peak < 9 * (1 << n - 1) * 8
+    assert peak < 7.5 * (1 << n - 1) * 8

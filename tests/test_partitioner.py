@@ -146,8 +146,8 @@ def test_dp_size_cap():
     w = WeightMatrix(np.zeros((25, 25), dtype=np.int64))
     with pytest.raises(SizeCapError):
         dp_partition(w, 2)
-    # lifting the cap works; k=1 needs no recursion even at this width
-    assert dp_partition(w, 1, cap=25).cost == 0
+    # forcing lifts the guard; k=1 needs no recursion even at this width
+    assert dp_partition(w, 1, force=True).cost == 0
 
 
 def test_dp_single_qubit():
@@ -406,6 +406,9 @@ def test_oracle_cap(monkeypatch):
         oracle_partition(w6, 2)
     monkeypatch.setenv("QCPART_ORACLE_CAP", "6")
     assert oracle_partition(w6, 2).cost == 0
+    monkeypatch.setenv("QCPART_ORACLE_CAP", "6.5")
+    with pytest.raises(QcpartError, match="QCPART_ORACLE_CAP must be an integer, got '6.5'"):
+        oracle_partition(w6, 2)
 
 
 def test_oracle_k_out_of_range(w4):
@@ -525,6 +528,22 @@ def test_dp_recount_mismatch_raises(w4, monkeypatch):
         dp_partition(w4, 3)
 
 
+def test_dp_table_checks_its_split(monkeypatch):
+    # a full table's split is reconstructed and recounted as a partition's is
+    solve = partitioner.dpcore.solve
+
+    def one_too_many(*args, **kwargs):
+        cost, peels, levels = solve(*args, **kwargs)
+        return cost + 1, peels, levels
+
+    w = weight_matrix(qc_to_bigraph(gen_qft(6)))
+    assert dp_table(w, 3).cost_at((1 << 6) - 1, 3) == 9
+    monkeypatch.setattr(partitioner.dpcore, "solve", one_too_many)
+    with pytest.raises(QcpartError, match="DP cost 10 differs from its assignment's "
+                                          "recounted cost 9"):
+        dp_table(w, 3)
+
+
 def test_dp_part_above_the_cap_raises(w4, monkeypatch):
     # a split that peels qubit 2 alone leaves the other three in one part
     monkeypatch.setattr(partitioner.dpcore, "solve",
@@ -566,3 +585,5 @@ def test_assignment_accessors():
     assert a.sizes() == (1, 1, 2)
     assert a.as_lists() == [[1], [2], [3, 4]]
     assert PartitionAssignment.from_labels([0, 1, 2, 2]) == a
+    with pytest.raises(IndexError, match="qubit 4 not covered"):
+        a.part_of(4)
