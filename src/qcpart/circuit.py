@@ -12,15 +12,17 @@ The canonical text format (``.qc``) is line-oriented:
     cnot 1 3        # two-qubit gate: <label> <control> <target>
     h 2             # single-qubit gate: <label> <qubit>
 
-Blank lines and ``#`` comments are ignored. Labels are opaque: only the
-number of operands matters downstream, so unknown labels are accepted.
+Tokens are separated by ``str.split`` whitespace and lines end at
+``str.splitlines`` breaks, so ``\\r\\n`` ends one line. Blank lines are ignored,
+and a ``#`` comment runs to the end of its line. The parser tokenizes the whole
+text in one pass. Labels are opaque: only the number of operands matters
+downstream, so unknown labels are accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
@@ -79,18 +81,16 @@ class Circuit:
                 q = c[i] if bad_c[i] else t[i]
                 raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {width}")
             raise ValueError(f"gate g{i + 1}: control equals target")
-        try:  # space-joined labels split back into themselves iff each is one word
-            words = " ".join(labels)
-        except TypeError:  # a label that is not a str
-            words = "#"
-        if "#" in words or words.split() != list(labels):
-            i, label = next((i, s) for i, s in enumerate(labels)
-                            if not isinstance(s, str) or s.split() != [s] or "#" in s)
+        try:  # each distinct label is checked once
+            distinct = dict.fromkeys(labels)
+        except TypeError:  # an unhashable label is no str: find the first bad one
+            distinct = {None: None}
+        if not all(map(_one_word, distinct)):
+            i, label = next((i, s) for i, s in enumerate(labels) if not _one_word(s))
             raise ValueError(f"gate g{i + 1}: label {label!r} is not one word without '#'")
-        if "qubits" in words.lower():  # the .qc header word, in any case
-            i = next((i for i, s in enumerate(labels) if s.lower() == "qubits"), None)
-            if i is not None:
-                raise ValueError(f"gate g{i + 1}: label {labels[i]!r} is reserved for the header")
+        if any(s.lower() == "qubits" for s in distinct):  # the .qc header word, in any case
+            i = next(i for i, s in enumerate(labels) if s.lower() == "qubits")
+            raise ValueError(f"gate g{i + 1}: label {labels[i]!r} is reserved for the header")
         ends.setflags(write=False)
         for key, value in (("width", width), ("labels", labels), ("ends", ends)):
             object.__setattr__(self, key, value)
@@ -111,6 +111,11 @@ class Circuit:
     @property
     def two_qubit_count(self) -> int:
         return int(np.count_nonzero(self.ends[:, 0] >= 0))
+
+
+def _one_word(label) -> bool:
+    """Whether ``label`` is a str that ``.qc`` text keeps as one token."""
+    return isinstance(label, str) and "#" not in label and label.split() == [label]
 
 
 def _header_width(tokens: list[str], lineno: int) -> int:
@@ -158,46 +163,111 @@ def _int_or_zero(tok: str) -> int:
     return q if abs(q) < 1 << 63 else 0
 
 
+# The code points str.split() splits on (str.isspace) and those that end a
+# line for str.splitlines(); the tokenizer classes characters by them.
+WHITESPACE = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+              *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+LINE_BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
+# bit 1: whitespace, bit 2: line break; every code point past the table reads 0
+_CLASS = np.zeros(max(WHITESPACE) + 2, np.uint8)
+_CLASS[list(WHITESPACE)] = 1
+_CLASS[list(LINE_BREAKS)] |= 2
+
+
+def _code_points(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text's code points, its whitespace mask padded with True at both
+    ends, and the positions of its line-break characters."""
+    space = np.ones(len(text) + 2, bool)
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        np.less(codes - 9, 5, out=space[1:-1])  # tab to CR; uint8 wraps below 9
+        space[1:-1] |= (codes - 28) < 5  # the four separators and space
+        breaks = np.flatnonzero(((codes - 10) < 4) | ((codes - 28) < 3))
+    else:  # a lone surrogate is a legal label character, so pass it through
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        kind = _CLASS.take(np.minimum(codes, len(_CLASS) - 1))
+        np.not_equal(kind, 0, out=space[1:-1])
+        breaks = np.flatnonzero(kind & 2)
+    return codes, space, breaks
+
+
 def parse_circuit(text: str, name: str = "circuit") -> Circuit:
     """Parse ``.qc`` text into a Circuit. Gate order equals line order.
 
-    The text is tokenized in one pass and the gate lines are checked
-    together over arrays, with no per-gate objects. Raises
-    CircuitSyntaxError with a 1-based line number on malformed input, an
-    out-of-range qubit index, a missing ``qubits`` header, or a two-qubit
-    gate whose control equals its target; when several lines are bad, the
-    first one in line order is reported, for the first check it fails.
+    Tokens are split on ``str.split`` whitespace, lines end at
+    ``str.splitlines`` breaks (``\\r\\n`` is one break), and a ``#`` comment
+    runs to the end of its line. The whole text is tokenized in one pass over
+    its code points and the gate lines are checked together over arrays,
+    with no Python loop over lines or gates; operands are read as ``int()``
+    reads them. Raises CircuitSyntaxError with a 1-based line number on
+    malformed input, an out-of-range qubit index, a missing ``qubits``
+    header, or a two-qubit gate whose control equals its target; when
+    several lines are bad, the first one in line order is reported, for the
+    first check it fails.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    rows = list(filter(None, map(str.split, lines)))  # the significant lines' tokens
-    if not rows:
+    codes, space, breaks = _code_points(text)
+    if "#" in text:  # blank each line's first '#' and the rest of its line
+        hashes = np.flatnonzero(codes == 35)
+        end = np.append(breaks, codes.size)[np.searchsorted(breaks, hashes)]  # next break
+        first = np.append(True, end[1:] != end[:-1])
+        hashes, size = hashes[first], (end - hashes)[first]
+        blank = np.repeat(hashes - np.cumsum(size) + size, size) + np.arange(size.sum())
+        codes = codes.copy()
+        codes[blank] = 32
+        space[blank + 1] = True
+        text = codes.tobytes().decode("utf-32-le" if codes.itemsize == 4 else "ascii",
+                                      "surrogatepass")
+    words = text.split()  # str.split agrees with the whitespace mask token for token
+    edges = np.flatnonzero(space[1:] != space[:-1])  # token starts and stops alternate
+    starts, stops = edges[0::2], edges[1::2]
+    if not words:
         raise CircuitSyntaxError("missing 'qubits <n>' header")
-    header_line = next(n for n, line in enumerate(lines, 1) if line.split())
-    width = _header_width(rows[0], header_line)
-    body = rows[1:]
-    arity = np.fromiter(map(len, body), np.int64, count=len(body)) - 1
-    labels = tuple(map(itemgetter(0), body))
-    operands = list(chain.from_iterable(map(itemgetter(slice(1, None)), body)))
-    try:
-        q = np.fromiter(map(int, operands), np.int64, count=len(operands))
-    except (ValueError, OverflowError):
-        q = np.fromiter(map(_int_or_zero, operands), np.int64, count=len(operands))
+    opens = np.zeros(len(words) + 1, bool)  # the token opens its line (the extra
+    opens[np.searchsorted(starts, breaks)] = True  # slot takes breaks after the last)
+    opens[0] = True
+    opens = opens[:-1]
+    bounds = np.append(np.flatnonzero(opens), len(words))  # each significant line's tokens
+
+    def row(r: int) -> tuple[list[str], int]:
+        """Line r's tokens and its 1-based number, counting ``\\r\\n`` once."""
+        at = int(starts[bounds[r]])
+        lineno = int(np.searchsorted(breaks, at)) - text.count("\r\n", 0, at) + 1
+        return words[bounds[r]:bounds[r + 1]], lineno
+
+    width = _header_width(*row(0))
+    body = bounds[1:-1]  # the gate lines' first tokens
+    arity = np.diff(bounds[1:]) - 1
+    labels = tuple(map(words.__getitem__, body.tolist()))
+    operand = ~opens
+    operand[:bounds[1]] = False  # the header's count
+    o = np.flatnonzero(operand)  # the operands' token indices
+    o_start = starts[o]
+    o_len = stops[o] - o_start
+    digit = codes[o_start] - 48  # wraps to above 9 unless an ASCII digit
+    q = digit.astype(np.int64)
+    plain = (digit < 10) & (o_len <= 18)  # at most 18 ASCII digits, which fit int64
+    for k in range(1, min(o_len.max(initial=0), 18)):  # digit k of the longer operands
+        more = np.flatnonzero(o_len > k)
+        digit = codes[o_start[more] + k] - 48
+        plain[more] &= digit < 10
+        q[more] = q[more] * 10 + digit
+    slow = np.flatnonzero(~plain)  # a sign, '_', another digit or 19+ characters
+    if slow.size:
+        q[slow] = [_int_or_zero(words[i]) for i in o[slow].tolist()]
     q = np.append(q, (0, 0))  # a line without operands reads zeros; arity flags it
     start = np.cumsum(arity) - arity  # each line's first operand in q
-    first, second = q[start], q[start + 1]
+    lead, second = q[start], q[start + 1]
     two = arity == 2
-    bad = ((arity < 1) | (arity > 2) | (first < 1) | (first > width)
-           | two & ((second < 1) | (second > width) | (first == second)))
+    bad = ((arity < 1) | (arity > 2) | (lead < 1) | (lead > width)
+           | two & ((second < 1) | (second > width) | (lead == second)))
     headers = {label for label in set(labels) if label.lower() == "qubits"}
     if headers:
         bad |= np.fromiter((label in headers for label in labels), bool, count=len(labels))
     if bad.any():
         i = int(np.argmax(bad))
-        linenos = [n for n, tokens in enumerate(map(str.split, lines), 1) if tokens]
-        raise CircuitSyntaxError(_gate_line_error(body[i], width), linenos[i + 1])
-    ends = np.stack([np.where(two, first, 0), np.where(two, second, first)], axis=1) - 1
+        tokens, lineno = row(i + 1)
+        raise CircuitSyntaxError(_gate_line_error(tokens, width), lineno)
+    ends = np.stack([np.where(two, lead, 0), np.where(two, second, lead)], axis=1) - 1
     return Circuit(width, labels, ends, name)
 
 

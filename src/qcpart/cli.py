@@ -26,7 +26,8 @@ from pathlib import Path
 from . import references
 from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
-from .errors import InfeasiblePartitionError, LineError, QcpartError, SizeCapError
+from .errors import (CircuitSyntaxError, InfeasiblePartitionError, LineError, QcpartError,
+                     SizeCapError)
 from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
                        trace_to_json, trace_to_text)
 from .partitioner import (
@@ -134,7 +135,15 @@ def parse_gen_spec(spec: str) -> tuple[str, list[int]]:
 
 
 def load_circuit(path: str, decompose_mct: bool) -> Circuit:
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a ``.qc`` or ``.real`` file as UTF-8, with or without a BOM; a
+    byte that is not UTF-8 is a syntax error on its line."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the bytes after any BOM
+        before = exc.object[:exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())  # the lines before the byte's, plus its own
+        raise CircuitSyntaxError(f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+                                 f" ({exc.reason})", line) from None
     name = Path(path).stem
     if path.lower().endswith(".real"):
         return import_real(text, decompose_mct=decompose_mct, name=name)

@@ -388,6 +388,27 @@ def test_exit_parse_error(capsys, tmp_path):
     assert "header" in err
 
 
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.qc"
+    bad.write_bytes(b"qubits 2\r\nh 1\n# \xc3\xa9\ncnot 1 \xff2\n")
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "partition", "--circuit", str(bad), "--parts", "2",
+                                 "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: byte 0xff is not valid UTF-8 (invalid start byte)\n"
+
+
+def test_file_with_a_byte_order_mark_parses(capsys, tmp_path):
+    plain, marked = tmp_path / "plain" / "c.qc", tmp_path / "marked" / "c.qc"
+    for path, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+        path.parent.mkdir()
+        path.write_bytes(prefix + SAMPLE4.encode())
+    reports = [run_cli(capsys, "partition", "--circuit", str(path), "--parts", "2",
+                       "--format", "json", "--no-timing") for path in (plain, marked)]
+    assert reports[0][0] == 0 and reports[0][2] == reports[1][2] == ""
+    assert reports[1][1] == reports[0][1].replace("plain", "marked")  # the path in flags
+
+
 def test_exit_infeasible(capsys, sample4):
     code, _, _ = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "5")
     assert code == 2

@@ -17,13 +17,22 @@ from qcpart import (
     render_circuit,
     trace_execution,
 )
+from qcpart.circuit import LINE_BREAKS, WHITESPACE
 from conftest import build_random_circuit
 from parse_reference import reference_parse, reference_trace
 
-LABELS = ["cnot", "h", "foo", "R2", "qubitsx", "é", "a#b"]
-# operands int() reads differently from a plain digit run, next to bad ones
-ODD_OPERANDS = ["+3", "3_0", "0_2", "x", "0", "-1", "7", "٣", "99999999999999999999999", "1.0"]
-SEPARATORS = ["\n", "\r\n", "\r", "\x0b", " "]
+# \udcff is a lone surrogate, which a label may hold
+LABELS = ["cnot", "h", "foo", "R2", "qubitsx", "é", "x\udcffy", "a#b"]
+# operands int() reads differently from a plain digit run, next to bad ones (a
+# fullwidth 2 sits past U+3000); the 18- and 19-digit 3s and the 19-digit value
+# past int64 straddle the longest digit run read without int()
+ODD_OPERANDS = ["+3", "3_0", "0_2", "x", "0", "-1", "7", "٣", "２", "99999999999999999999999",
+                "1.0", "0" * 17 + "3", "0" * 18 + "3", "9223372036854775808"]
+# line separators: every str.splitlines break, \r\n included, and a space (one line);
+# SPACES: str.split whitespace that does not break a line
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029", " "]
+SPACES = [" ", "\t", "  ", "\x1f", "\xa0", "\u3000"]
 BAD_LINES = ["qubits 3", "QUBITS 2", "cnot", "cnot 1 2 3", "h x", "cnot 2 2", "cnot 1 +1",
              "h 0", "h 9", "cnot 1 3_0", "t 1 2 3 4", "cnot one 2", "qubits", "h -0"]
 
@@ -39,8 +48,10 @@ def outcome(parse, text):
 
 
 def operand(q, style):
-    """A 1-based qubit index written in one of the spellings int() accepts."""
-    return [str(q), f"+{q}", f"0{q}", f" {q}", "_".join(str(q)) if q >= 10 else str(q)][style]
+    """A 1-based qubit index written in one of the spellings int() accepts,
+    the last two zero-padded to 18 and 19 digits."""
+    return [str(q), f"+{q}", f"0{q}", f" {q}", "_".join(str(q)) if q >= 10 else str(q),
+            f"{q:018}", f"{q:019}"][style]
 
 
 @st.composite
@@ -55,19 +66,20 @@ def qc_texts(draw):
             qs = [c, t]
         else:
             qs = [draw(st.integers(1, width))]
-        style = draw(st.integers(0, 4))
-        lines.append(" ".join([label] + [operand(q, style) for q in qs]))
+        style = draw(st.integers(0, 6))
+        lines.append(draw(st.sampled_from(SPACES)).join([label] + [operand(q, style) for q in qs]))
     for _ in range(draw(st.integers(0, 3))):  # blank, whitespace and comment lines
         pos = draw(st.integers(0, len(lines)))
         lines.insert(pos, draw(st.sampled_from(["", "   ", "\t", "# note", "  # cnot 1 2"])))
-    lines = [line + draw(st.sampled_from(["", "  ", " # tail", "\t#"])) for line in lines]
+    lines = [line + draw(st.sampled_from(["", "  ", " # tail", "\t#", "#x", "\xa0#\u3000h 1"]))
+             for line in lines]
     mutation = draw(st.sampled_from(["none", "bad", "odd", "drop_header", "second_bad"]))
     if mutation == "bad":
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
     elif mutation == "odd":
         words = [draw(st.sampled_from(LABELS))]
         words += draw(st.lists(st.sampled_from(ODD_OPERANDS), max_size=3))
-        lines.insert(draw(st.integers(1, len(lines))), " ".join(words))
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(SPACES)).join(words))
     elif mutation == "drop_header":
         lines = [line for line in lines if "qubits" not in line.lower().split("#")[0]]
     elif mutation == "second_bad":  # two bad lines: the first one is reported
@@ -83,6 +95,14 @@ def test_parse_matches_reference(text):
     assert outcome(parse_circuit, text) == outcome(reference_parse, text)
 
 
+def test_character_classes_match_str():
+    # the tokenizer's literal code point sets against str.split and str.splitlines
+    every = [chr(c) for c in range(0x110000)]
+    assert set(WHITESPACE) == {ord(ch) for ch in every if ch.isspace()}
+    assert set(LINE_BREAKS) == {ord(ch) for ch in every if len(f"a{ch}b".splitlines()) == 2}
+    assert len(WHITESPACE) == 29 and len(LINE_BREAKS) == 10
+
+
 @pytest.mark.parametrize("text", [
     "", "   \n# only\n", "qubits", "qubits 0", "qubits -2", "qubits x", "qubits 2 3",
     "cnot 1 2\nqubits 2", "qubits 2\nqubits 2", "qubits 3\nqUbItS 1",
@@ -91,6 +111,9 @@ def test_parse_matches_reference(text):
     "qubits 99999999999999999999999\ncnot 1 2", "qubits 2\nh 1\nh x y z",
     "qubits 2\nh 1 # c\n\n cnot 2 1\x0b", "qubits 31\ncnot 3_0 +31\nh 0_1",
     "qubits 2\nh 1\nh", "qubits 2\nh 1\nh 1 1",
+    "qubits 3\ncnot 000000000000000003 1\nh 0000000000000000002",
+    "qubits 3\nh 9223372036854775808", "qubits 3\nh 9223372036854775807\r\n",
+    "qubits 2\x85h 1#c\u2028h\xa02\x1f#\u3000x\r\nh\u30001\x1c\x1dh 3",
 ])
 def test_parse_edge_cases_match_reference(text):
     assert outcome(parse_circuit, text) == outcome(reference_parse, text)
