@@ -178,7 +178,7 @@ def _code_points(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The text's code points, its whitespace mask padded with True at both
     ends, and the positions of its line-break characters."""
     space = np.ones(len(text) + 2, bool)
-    if text.isascii():
+    if text.isascii():  # _CLASS's ASCII part as uint8 arithmetic, faster than a lookup
         codes = np.frombuffer(text.encode("ascii"), np.uint8)
         np.less(codes - 9, 5, out=space[1:-1])  # tab to CR; uint8 wraps below 9
         space[1:-1] |= (codes - 28) < 5  # the four separators and space

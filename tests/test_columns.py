@@ -17,7 +17,7 @@ from qcpart import (
     render_circuit,
     trace_execution,
 )
-from qcpart.circuit import LINE_BREAKS, WHITESPACE
+from qcpart.circuit import LINE_BREAKS, WHITESPACE, _code_points
 from conftest import build_random_circuit
 from parse_reference import reference_parse, reference_trace
 
@@ -101,6 +101,19 @@ def test_character_classes_match_str():
     assert set(WHITESPACE) == {ord(ch) for ch in every if ch.isspace()}
     assert set(LINE_BREAKS) == {ord(ch) for ch in every if len(f"a{ch}b".splitlines()) == 2}
     assert len(WHITESPACE) == 29 and len(LINE_BREAKS) == 10
+
+
+@pytest.mark.parametrize("text", [
+    "".join(map(chr, range(128))),  # read as uint8 bytes
+    "".join(map(chr, range(0x110000))),  # read as UTF-32 code points, surrogates too
+])
+def test_code_point_classes_match_str(text):
+    # both encodings the tokenizer classes characters in, against str
+    codes, space, breaks = _code_points(text)
+    assert codes.tolist() == list(map(ord, text))
+    assert space[1:-1].tolist() == [ch.isspace() for ch in text]
+    assert space[0] and space[-1]
+    assert breaks.tolist() == [i for i, ch in enumerate(text) if len(f"a{ch}b".splitlines()) == 2]
 
 
 @pytest.mark.parametrize("text", [
