@@ -352,23 +352,19 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
             if arity == 1:
                 labels.append("not")
                 ends.append((-1, operands[0]))
-            elif arity == 2:
-                if operands[0] == operands[1]:
-                    raise CircuitSyntaxError("control and target must differ", lineno)
-                labels.append("cnot")
-                ends.append((operands[0], operands[1]))
-            else:
-                if not decompose_mct:
-                    raise UnsupportedGateError(
-                        f"{arity}-qubit gate {head!r} needs decompose_mct to import", lineno
-                    )
+            elif arity > 2 and not decompose_mct:
+                raise UnsupportedGateError(
+                    f"{arity}-qubit gate {head!r} needs decompose_mct to import", lineno
+                )
+            else:  # one CNOT per control: a t2 is a CNOT, a longer tK an approximation
                 *controls, target = operands
+                if target in controls:
+                    raise CircuitSyntaxError("control and target must differ", lineno)
                 for c in controls:
-                    if c == target:
-                        raise CircuitSyntaxError("control and target must differ", lineno)
                     labels.append("cnot")
                     ends.append((c, target))
-                decomposed = True
+                if arity > 2:
+                    decomposed = True
         elif head == "qubits":
             raise CircuitSyntaxError(
                 f"gate label {tokens[0]!r} is reserved for the .qc header", lineno

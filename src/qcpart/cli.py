@@ -21,13 +21,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import references
 from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
-from .errors import (CircuitSyntaxError, InfeasiblePartitionError, LineError, QcpartError,
-                     SizeCapError)
+from .errors import CircuitSyntaxError, LineError, QcpartError, SizeCapError
 from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
                        trace_to_json, trace_to_text)
 from .partitioner import (
@@ -97,17 +97,15 @@ def _int_ranges(spec: str) -> list[range]:
         if not chunk:
             raise ValueError(f"empty entry in list {spec!r}")
         lo_s, dots, hi_s = chunk.partition("..")
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dots else lo
+        except ValueError:
+            raise ValueError(f"bad entry {chunk!r} in list {spec!r}; expected N or N..M") from None
         if hi < lo:
             raise ValueError(f"descending range {chunk!r}")
         ranges.append(range(lo, hi + 1))
     return ranges
-
-
-def parse_int_list(spec: str) -> list[int]:
-    """'3' -> [3]; '3,5' -> [3, 5]; '1..4' -> [1, 2, 3, 4]; mixes allowed."""
-    return [i for r in _int_ranges(spec) for i in r]
 
 
 def _single_int(spec: str, message: str) -> int:
@@ -124,14 +122,13 @@ def _split_gen_spec(spec: str) -> tuple[str, str]:
     name, sep, sizes = spec.partition(":")
     if not sep or not sizes:
         raise ValueError(f"generator spec must look like qft:4 or qft:4..8, got {spec!r}")
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}")
+    _check_generator(name)
     return name, sizes
 
 
-def parse_gen_spec(spec: str) -> tuple[str, list[int]]:
-    name, sizes = _split_gen_spec(spec)
-    return name, parse_int_list(sizes)
+def _check_generator(name: str) -> None:
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}")
 
 
 def load_circuit(path: str, decompose_mct: bool) -> Circuit:
@@ -365,31 +362,31 @@ def cmd_oracle(args) -> int:
 
 
 def _bench_sources(args):
-    """Each input as a path or a ``(generator, size)`` pair."""
-    yield from args.circuit or []
-    for spec in args.gen or []:
-        name, sizes = parse_gen_spec(spec)
-        for size in sizes:
-            yield name, size
+    """Each input as a path or a ``(generator, size)`` pair. Every --gen spec is
+    checked here, before the first input is read; no range is expanded."""
+    gens = [(name, _int_ranges(sizes)) for name, sizes in map(_split_gen_spec, args.gen or [])]
+    sized = ((name, size) for name, ranges in gens for size in chain.from_iterable(ranges))
+    return chain(args.circuit or [], sized)
 
 
 def cmd_bench(args) -> int:
     _check_threads(args)
     if not args.circuit and not args.gen:
         raise ValueError(NO_INPUT)
-    ks = parse_int_list(args.parts)
+    ks = _int_ranges(args.parts)
+    sources = _bench_sources(args)  # a bad spec is refused before the header is written
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
-    for source in _bench_sources(args):
+    for source in sources:
         try:
             circuit = _checked_circuit(source, args, _dp_width)
         except (QcpartError, OSError, ValueError) as exc:
             label = source if isinstance(source, str) else "%s:%d" % source
-            for k in ks:
+            for k in chain.from_iterable(ks):
                 writer.writerow([label, "", "", k, "", "", "", str(exc)])
             continue
         w = weight_matrix(qc_to_bigraph(circuit))
-        for k in ks:
+        for k in chain.from_iterable(ks):
             t0 = time.perf_counter()
             try:
                 result = dp_partition(w, k, max_part_size=args.max_part_size, force=args.force)
@@ -404,14 +401,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.generator not in GENERATORS:
-        raise ValueError(
-            f"unknown generator {args.generator!r}; available: {', '.join(sorted(GENERATORS))}"
-        )
-    try:
-        circuit = GENERATORS[args.generator](args.qubits)
-    except ValueError as exc:
-        raise InfeasiblePartitionError(str(exc)) from exc
+    _check_generator(args.generator)
+    circuit = GENERATORS[args.generator](args.qubits)
     text = render_circuit(circuit)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -489,10 +480,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except QcpartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (OSError, ValueError) as exc:
+    except (QcpartError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except MemoryError as exc:

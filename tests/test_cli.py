@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from qcpart import (Circuit, PartitionAssignment, dp_table, parse_circuit, qc_to_bigraph,
                     render_circuit, subset_of, trace_execution, trace_to_records, weight_matrix)
 from qcpart import cli, references
-from qcpart.cli import main, parse_gen_spec, parse_int_list
+from qcpart.cli import _int_ranges, _split_gen_spec, main
 from conftest import ODD_LABELS, SAMPLE3, SAMPLE4, SAMPLE4H, build_random_circuit
 
 
@@ -45,24 +46,28 @@ def run_cli(capsys, *argv):
 
 # --- argument helpers ----------------------------------------------------------
 
+def _values(spec):
+    return [i for r in _int_ranges(spec) for i in r]
+
+
 def test_parse_int_list():
-    assert parse_int_list("3") == [3]
-    assert parse_int_list("3,5") == [3, 5]
-    assert parse_int_list("1..4") == [1, 2, 3, 4]
-    assert parse_int_list("1,3..5,9") == [1, 3, 4, 5, 9]
+    assert _values("3") == [3]
+    assert _values("3,5") == [3, 5]
+    assert _values("1..4") == [1, 2, 3, 4]
+    assert _values("1,3..5,9") == [1, 3, 4, 5, 9]
     with pytest.raises(ValueError):
-        parse_int_list("4..2")
+        _int_ranges("4..2")
     with pytest.raises(ValueError):
-        parse_int_list("a")
+        _int_ranges("a")
 
 
 def test_parse_gen_spec():
-    assert parse_gen_spec("qft:4") == ("qft", [4])
-    assert parse_gen_spec("qft:4..6") == ("qft", [4, 5, 6])
+    assert _split_gen_spec("qft:4") == ("qft", "4") and _values("4") == [4]
+    assert _split_gen_spec("qft:4..6") == ("qft", "4..6") and _values("4..6") == [4, 5, 6]
     with pytest.raises(ValueError):
-        parse_gen_spec("qft")
+        _split_gen_spec("qft")
     with pytest.raises(ValueError):
-        parse_gen_spec("nope:4")
+        _split_gen_spec("nope:4")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -373,6 +378,12 @@ def test_partition_rejects_two_inputs(capsys, sample4):
     (["partition", "--gen", "qft:4", "--parts", "2,,3"], "empty entry in list '2,,3'"),
     (["partition", "--parts", "2"], cli.NO_INPUT),
     (["oracle", "--parts", "2"], cli.NO_INPUT),
+    (["partition", "--gen", "qft:4", "--parts", "3.."],
+     "bad entry '3..' in list '3..'; expected N or N..M"),
+    (["bench", "--gen", "qft:4", "--parts", "1..2..3"],
+     "bad entry '1..2..3' in list '1..2..3'; expected N or N..M"),
+    (["bench", "--gen", "qft:4..x", "--parts", "2"],
+     "bad entry '4..x' in list '4..x'; expected N or N..M"),
 ])
 def test_bad_inputs_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -568,6 +579,40 @@ def test_bench_records_row_errors_and_continues(capsys, sample4):
     assert ok_row[4] == "2" and ok_row[-1] == ""
     assert "cannot split" in lines[1]  # k=9 on a 4-qubit circuit
     assert lines[2].split(",")[0] == "/nonexistent.qc" and lines[2].split(",")[3] == "2"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("qft:4..x", "bad entry '4..x'"),
+    ("nope:4", "unknown generator 'nope'"),
+])
+def test_bench_checks_every_spec_before_writing(capsys, sample4, spec, message):
+    # a bad --gen spec is refused before the header and before sample4's row
+    code, out, err = run_cli(capsys, "bench", "--circuit", sample4, "--gen", spec,
+                             "--parts", "2", "--no-timing")
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_bench_never_expands_a_range(capsys, monkeypatch):
+    # the twin of test_single_value_spec_refused_unexpanded: a 2-million-value
+    # --parts range is iterated, not listed, so the first solve starts with
+    # only a few KB allocated
+    class FirstSolve(Exception):
+        pass
+
+    def stop(graph):
+        raise FirstSolve
+
+    monkeypatch.setattr(cli, "weight_matrix", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstSolve):
+            main(["bench", "--gen", "qft:4", "--parts", "1..2000000", "--no-timing"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4 * 2**20, peak
 
 
 def test_bench_no_sources(capsys):
