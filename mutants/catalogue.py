@@ -10,6 +10,8 @@ tested against.
 CLI = "src/qcpart/cli.py"
 CIRCUIT = "src/qcpart/circuit.py"
 DPCORE = "src/qcpart/dpcore.py"
+EXECUTOR = "src/qcpart/executor.py"
+PARTITIONER = "src/qcpart/partitioner.py"
 
 MUTANTS = [
     # --- list specs and generators (cli) ----------------------------------------
@@ -57,11 +59,21 @@ MUTANTS = [
     {
         "id": "real-t2-skips-control-target-check",
         "file": CIRCUIT,
-        "old": "                if target in controls:\n",
-        "new": "                if target in controls[1:]:\n",
+        "old": "            if target in controls:\n",
+        "new": "            if target in controls[1:]:\n",
         "tests": [
             "tests/test_circuit.py::test_import_real_line_errors",
             "tests/test_circuit.py::test_import_real_decomposes_toffoli_pairwise",
+        ],
+    },
+    {
+        "id": "real-tk-accepts-repeated-controls",
+        "file": CIRCUIT,
+        "old": "            if len(set(controls)) < len(controls):\n"
+               "                raise CircuitSyntaxError(\"controls must be distinct\", lineno)\n",
+        "new": "",
+        "tests": [
+            "tests/test_circuit.py::test_import_real_line_errors",
         ],
     },
     {
@@ -245,6 +257,18 @@ MUTANTS = [
         ],
     },
     {
+        "id": "search-skips-rest-cap-check",
+        "file": DPCORE,
+        "old": "            if least > 0:  # else any rest fits\n"
+               "                ok &= used[pref] + sizes[j] >= least\n",
+        "new": "",
+        "tests": [
+            "tests/test_dpcore.py::test_search_matches_dense_seeded",
+            "tests/test_dpcore.py::test_capped_bound_routes_the_search",
+            "tests/test_metamorphic.py::test_a_cap_never_lowers_the_cost",
+        ],
+    },
+    {
         "id": "bounded-scan-skips-last-peel",
         "file": DPCORE,
         "old": "zip(akey[peels].tolist(), views)",
@@ -252,6 +276,88 @@ MUTANTS = [
         "tests": [
             "tests/test_dpcore.py::test_bounded_scan_matches_dense_at_every_state",
             "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
+        ],
+    },
+    # --- brute-force oracle and its guard (partitioner) --------------------------
+    {
+        "id": "rgs-opens-block-k-plus-one",
+        "file": PARTITIONER,
+        "old": "        reps = join + (nopen < k)\n",
+        "new": "        reps = join + (nopen <= k)\n",
+        "tests": [
+            "tests/test_partitioner.py::test_rgs_rows_match_the_bell_table",
+            "tests/test_partitioner.py::test_rgs_enumeration_counts",
+        ],
+    },
+    {
+        "id": "rgs-prune-keeps-one-more",
+        "file": PARTITIONER,
+        "old": "nopen >= k - (n - 1 - i)",
+        "new": "nopen >= k - (n - i)",
+        "tests": [
+            "tests/test_partitioner.py::test_rgs_rows_match_the_bell_table",
+            "tests/test_partitioner.py::test_oracle_examples",
+        ],
+    },
+    {
+        "id": "rgs-prune-drops-one-more",
+        "file": PARTITIONER,
+        "old": "nopen >= k - (n - 1 - i)",
+        "new": "nopen >= k - (n - 2 - i)",
+        "tests": [
+            "tests/test_partitioner.py::test_rgs_rows_match_the_bell_table",
+            "tests/test_partitioner.py::test_dp_equals_oracle_on_randoms",
+        ],
+    },
+    {
+        "id": "oracle-refuses-at-budget",
+        "file": PARTITIONER,
+        "old": "    if count > ORACLE_ROW_BUDGET:\n",
+        "new": "    if count >= ORACLE_ROW_BUDGET:\n",
+        "tests": [
+            "tests/test_partitioner.py::test_oracle_cap",
+        ],
+    },
+    {
+        "id": "oracle-skips-width-check",
+        "file": PARTITIONER,
+        "old": "    if n > DEFAULT_DP_CAP:\n",
+        "new": "    if False:\n",
+        "tests": [
+            "tests/test_partitioner.py::test_oracle_cap",
+            "tests/test_cli.py::test_oracle_width_checked_against_oracle_cap",
+            "tests/test_cli.py::test_width_checked_before_allocation",
+        ],
+    },
+    # --- memo-table CSV and trace (partitioner, executor) -----------------------
+    {
+        "id": "csv-labels-always-quoted",
+        "file": PARTITIONER,
+        "old": "lambda s: f'\"{s}\"' if \",\" in s else s",
+        "new": "lambda s: f'\"{s}\"'",
+        "tests": [
+            "tests/test_partitioner.py::test_table_csv_string_matches_csv_writer",
+            "tests/test_partitioner.py::test_table_csv_shape",
+        ],
+    },
+    {
+        "id": "trace-rows-count-teleports-exclusively",
+        "file": EXECUTOR,
+        "old": "teleports = np.cumsum(self.is_global).tolist()",
+        "new": "teleports = (np.cumsum(self.is_global) - self.is_global).tolist()",
+        "tests": [
+            "tests/test_executor.py::test_trace_rows_match_reference",
+            "tests/test_executor.py::test_nine_gate_sample_trace",
+        ],
+    },
+    {
+        "id": "trace-json-counts-teleports-exclusively",
+        "file": EXECUTOR,
+        "old": "numbers[np.cumsum(trace.is_global)]",
+        "new": "numbers[np.cumsum(trace.is_global) - trace.is_global]",
+        "tests": [
+            "tests/test_executor.py::test_trace_to_json_matches_json_dumps",
+            "tests/test_cli.py::test_report_bytes_pinned",
         ],
     },
 ]

@@ -349,17 +349,19 @@ def import_real(text: str, decompose_mct: bool = False, name: str = "circuit") -
                 raise CircuitSyntaxError(
                     f"gate {head!r} expects {arity} operands, got {len(operands)}", lineno
                 )
+            *controls, target = operands
+            if target in controls:
+                raise CircuitSyntaxError("control and target must differ", lineno)
+            if len(set(controls)) < len(controls):
+                raise CircuitSyntaxError("controls must be distinct", lineno)
             if arity == 1:
                 labels.append("not")
-                ends.append((-1, operands[0]))
+                ends.append((-1, target))
             elif arity > 2 and not decompose_mct:
                 raise UnsupportedGateError(
                     f"{arity}-qubit gate {head!r} needs decompose_mct to import", lineno
                 )
             else:  # one CNOT per control: a t2 is a CNOT, a longer tK an approximation
-                *controls, target = operands
-                if target in controls:
-                    raise CircuitSyntaxError("control and target must differ", lineno)
                 for c in controls:
                     labels.append("cnot")
                     ends.append((c, target))

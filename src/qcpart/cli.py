@@ -149,14 +149,14 @@ def load_circuit(path: str, decompose_mct: bool) -> Circuit:
 
 def _checked_circuit(source, args, check_width_of) -> Circuit:
     """Load the file at path ``source`` or generate ``(generator, size)``, passing
-    the width to ``check_width_of(args, width)`` before gates are generated or
+    the width to ``check_width_of(width)`` before gates are generated or
     anything is sized by the width."""
     if isinstance(source, str):
         circuit = load_circuit(source, args.decompose_mct)
-        check_width_of(args, circuit.width)
+        check_width_of(circuit.width)
         return circuit
     name, size = source
-    check_width_of(args, size)
+    check_width_of(size)
     return GENERATORS[name](size)
 
 
@@ -180,18 +180,6 @@ def _elapsed_ms(args, t0: float) -> int | None:
 
 def _single_k(args) -> int:
     return _single_int(args.parts, "this command takes a single K; use bench for sweeps")
-
-
-def _dp_width(args, width: int) -> None:
-    """The DP's qubit guard, lifted by --force."""
-    check_width(width, args.force)
-
-
-def _oracle_widths(args, width: int) -> None:
-    """The brute-force cap, and with --compare-dp the DP's default cap."""
-    check_oracle_width(width)
-    if args.compare_dp:
-        check_width(width)
 
 
 def _check_threads(args) -> None:
@@ -325,7 +313,7 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
 
 def cmd_partition(args) -> int:
     _check_threads(args)
-    circuit = _single_circuit(args, _dp_width)
+    circuit = _single_circuit(args, functools.partial(check_width, force=args.force))
     k = _single_k(args)
     full = args.format != "csv"  # a CSV row drops the trace and the table
     t0 = time.perf_counter()
@@ -346,8 +334,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    circuit = _single_circuit(args, _oracle_widths)
     k = _single_k(args)
+    # the oracle's guard holds the DP's width cap too, so --compare-dp needs no other
+    circuit = _single_circuit(args, functools.partial(check_oracle_width, k=k))
     t0 = time.perf_counter()
     w = weight_matrix(qc_to_bigraph(circuit))
     result = oracle_partition(w, k)
@@ -379,7 +368,7 @@ def cmd_bench(args) -> int:
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
     for source in sources:
         try:
-            circuit = _checked_circuit(source, args, _dp_width)
+            circuit = _checked_circuit(source, args, functools.partial(check_width, force=args.force))
         except (QcpartError, OSError, ValueError) as exc:
             label = source if isinstance(source, str) else "%s:%d" % source
             for k in chain.from_iterable(ks):

@@ -6,8 +6,8 @@ main entry points are:
 
   * dp_partition - memoized subset DP, optimal; max_part_size caps the parts.
   * dp_table - the full memo table, for reporting and CSV export.
-  * oracle_partition - independent brute force over all set partitions,
-    used to cross-check the DP on small instances.
+  * oracle_partition - independent brute force over all partitions into k
+    blocks, used to cross-check the DP on small instances.
 
 Costs count two-qubit gates whose endpoints land in different parts; each
 such gate requires one teleportation.
@@ -16,7 +16,6 @@ such gate requires one teleportation.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -31,8 +30,7 @@ from .errors import InfeasiblePartitionError, QcpartError, SizeCapError
 QubitSubset = int
 
 DEFAULT_DP_CAP = 24
-DEFAULT_ORACLE_CAP = 12
-ORACLE_CAP_ENV = "QCPART_ORACLE_CAP"
+ORACLE_ROW_BUDGET = 1 << 21  # partitions the brute force may score: S(12, k) <= 1 379 400
 _RENDER_ROWS = 1 << 12  # rows per gather in DpTable._rows
 
 
@@ -317,67 +315,75 @@ def dp_table(w: WeightMatrix, k: int, *, force: bool = False) -> DpTable:
     return dp_partition(w, k, keep_table=True, force=force).table
 
 
-@lru_cache(maxsize=None)
-def _rgs_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All set partitions of n elements as restricted growth strings, in
-    lexicographic order, plus the block count of each row. Cached; the
-    arrays are read-only."""
-    labels = np.zeros((1, 1), dtype=np.uint8)
-    nblocks = np.ones(1, dtype=np.uint8)
-    for _ in range(n - 1):
-        reps = nblocks.astype(np.int64) + 1
-        parent = np.repeat(np.arange(nblocks.size), reps)
-        ends = np.cumsum(reps)
-        newcol = (np.arange(ends[-1]) - (ends - reps)[parent]).astype(np.uint8)
-        labels = np.concatenate([labels[parent], newcol[:, None]], axis=1)
-        nblocks = nblocks[parent] + (newcol == nblocks[parent])
-    labels.setflags(write=False)
-    nblocks.setflags(write=False)
-    return labels, nblocks
+def _partition_count(n: int, k: int) -> int:
+    """S(n, k), the number of partitions of n elements into k non-empty
+    blocks, by the recurrence S(m, j) = j S(m-1, j) + S(m-1, j-1)."""
+    if not 0 <= k <= n:
+        return 0
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
-def oracle_cap() -> int:
-    """Brute-force size cap; QCPART_ORACLE_CAP overrides the default of 12."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise QcpartError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
+def check_oracle_width(n: int, k: int) -> None:
+    """Raise SizeCapError when n is above the DP's DEFAULT_DP_CAP qubits, or
+    when S(n, k), the count of partitions into k parts that the oracle
+    scores, is above ORACLE_ROW_BUDGET. Exact, and run before anything is
+    allocated: every k is admitted up to 12 qubits, k=2 to 22 and k=3 to 14."""
+    if n > DEFAULT_DP_CAP:
+        raise SizeCapError(f"{n} qubits exceeds the brute-force cap ({DEFAULT_DP_CAP}); "
+                           f"use dp_partition instead.")
+    count = _partition_count(n, k)
+    if count > ORACLE_ROW_BUDGET:
+        raise SizeCapError(f"{count} partitions of {n} qubits into {k} parts exceed the "
+                           f"brute-force budget of {ORACLE_ROW_BUDGET}; use dp_partition instead.")
 
 
-def check_oracle_width(n: int) -> None:
-    """Raise SizeCapError when n qubits exceed the brute-force cap,
-    ``oracle_cap()``. Cheap enough to run before anything is allocated."""
-    limit = oracle_cap()
-    if n > limit:
-        raise SizeCapError(
-            f"{n} qubits exceeds the brute-force cap ({limit}); set {ORACLE_CAP_ENV} "
-            f"or use dp_partition instead."
-        )
+@lru_cache(maxsize=16)
+def _rgs_rows(n: int, k: int) -> np.ndarray:
+    """The restricted growth strings of n elements with exactly k blocks, in
+    lexicographic order, as a read-only (n, S(n, k)) uint8 array: column j
+    is string j. Element i joins an open block or, while fewer than k are
+    open, opens the next; a prefix is dropped once the elements left cannot
+    open the blocks still missing. Cached for the 16 latest (n, k)."""
+    rows = np.zeros((1, 1), dtype=np.uint8)  # element 0 opens block 0
+    nopen = np.ones(1, dtype=np.uint8)
+    for i in range(1, n):
+        join = np.where(nopen >= k - (n - 1 - i), nopen, 0)  # the rest can open the others
+        reps = join + (nopen < k)
+        parent = np.repeat(np.arange(nopen.size, dtype=np.int32), reps)
+        grown = np.empty((i + 1, parent.size), dtype=np.uint8)
+        np.take(rows, parent, axis=1, out=grown[:i], mode="clip")  # "clip": out is not buffered
+        rows = grown
+        # a prefix's children take blocks nopen - join .. nopen in turn
+        first = np.cumsum(reps, dtype=np.int32) - reps - nopen + join
+        rows[i] = np.arange(parent.size, dtype=np.int32) - first[parent]
+        nopen = nopen[parent]
+        nopen += rows[i] == nopen
+    rows.setflags(write=False)
+    return rows
 
 
 def oracle_partition(w: WeightMatrix, k: int) -> PartitionResult:
     """Brute-force optimum: enumerate every partition of the qubits into
     exactly k non-empty blocks and score each directly from the weight
-    matrix. Exponential (Bell numbers); guarded by ``oracle_cap()``.
+    matrix. Exponential (S(n, k) partitions); guarded by ``check_oracle_width``.
 
     Independent of the DP on purpose: different enumeration, different cost
     evaluation. Among equal-cost partitions the lexicographically first
     growth string wins.
     """
     n = w.n
-    check_oracle_width(n)
+    check_oracle_width(n, k)
     if not 1 <= k <= n:
         raise InfeasiblePartitionError(
             f"cannot split {n} qubit(s) into {k} non-empty part(s)"
         )
-    labels, nblocks = _rgs_table(n)
-    costs = np.zeros(labels.shape[0], dtype=np.int64)
+    rows = _rgs_rows(n, k)
+    costs = np.zeros(rows.shape[1], dtype=np.int64)
     for i, j, wij in w.pairs():
-        costs += wij * (labels[:, i] != labels[:, j])
-    sel = np.flatnonzero(nblocks == k)
-    best = sel[np.argmin(costs[sel])]
-    assignment = PartitionAssignment.from_labels(labels[best].tolist())
+        costs += wij * (rows[i] != rows[j])
+    best = int(np.argmin(costs))
+    assignment = PartitionAssignment.from_labels(rows[:, best].tolist())
     return PartitionResult(assignment=assignment, cost=int(costs[best]))

@@ -205,6 +205,9 @@ def test_import_real_header_errors():
     (".numvars 2\nt2 a b\n.variables a b\n", "line 2: gate line before .numvars/.variables"),
     (REAL_HEADER + "t3 a b\n", "line 4: gate 't3' expects 3 operands, got 2"),
     (REAL_HEADER + "t2 a a\n", "line 4: control and target must differ"),
+    (REAL_HEADER + "t3 a b a\n", "line 4: control and target must differ"),
+    (REAL_HEADER + "t3 a a b\n", "line 4: controls must be distinct"),
+    (REAL_HEADER + "t3 a a a\n", "line 4: control and target must differ"),
 ])
 def test_import_real_line_errors(text, message):
     for decompose in (False, True):

@@ -450,7 +450,7 @@ def test_width_checked_before_allocation(capsys, tmp_path):
     assert "30000 qubits exceeds the exact-partitioner cap (24)" in err
     code, _, err = run_cli(capsys, "oracle", "--circuit", str(huge), "--parts", "2")
     assert code == 3
-    assert "30000 qubits exceeds the brute-force cap (12)" in err
+    assert "30000 qubits exceeds the brute-force cap (24)" in err
     t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "partition", "--gen", "qft:100000", "--parts", "2")
     assert code == 3 and "exceeds the exact-partitioner cap" in err
@@ -511,28 +511,39 @@ def test_oracle_compare_dp(capsys, sample4):
 
 
 def test_oracle_cap_exit(capsys, tmp_path):
+    # the guard counts the partitions into K parts: 15 qubits fit at K=2, not at K=3
     wide = tmp_path / "wide.qc"
-    wide.write_text("qubits 13\n")
-    code, _, err = run_cli(capsys, "oracle", "--circuit", str(wide), "--parts", "2")
-    assert code == 3
-    assert "QCPART_ORACLE_CAP" in err
+    wide.write_text("qubits 15\ncnot 1 2\n")
+    code, out, _ = run_cli(capsys, "oracle", "--circuit", str(wide), "--parts", "2",
+                           "--format", "json", "--no-timing")
+    assert code == 0 and json.loads(out)["cost"] == 0
+    code, out, err = run_cli(capsys, "oracle", "--circuit", str(wide), "--parts", "3")
+    assert code == 3 and out == ""
+    assert "2375101 partitions of 15 qubits into 3 parts exceed the brute-force budget" in err
 
 
-def test_oracle_width_checked_against_oracle_cap(capsys, tmp_path, monkeypatch):
+def test_oracle_width_checked_against_oracle_cap(capsys, tmp_path):
     q25 = tmp_path / "q25.qc"
     q25.write_text("qubits 25\ncnot 1 2\n")
-    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "2")
-    assert code == 3 and "25 qubits exceeds the brute-force cap (12)" in err
-    monkeypatch.setenv("QCPART_ORACLE_CAP", "30")
-    # past the width check, the oracle's own K check refuses before enumerating
-    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "26")
-    assert code == 2 and "cannot split 25 qubit(s) into 26" in err
-    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", "2",
-                           "--compare-dp")
-    assert code == 3 and "25 qubits exceeds the exact-partitioner cap (24)" in err
+    for parts in ("1", "2", "26"):
+        for extra in ([], ["--compare-dp"]):
+            code, _, err = run_cli(capsys, "oracle", "--circuit", str(q25), "--parts", parts,
+                                   *extra)
+            assert code == 3 and "25 qubits exceeds the brute-force cap (24)" in err
+    # within the width, the oracle's own K check refuses before enumerating
+    q20 = tmp_path / "q20.qc"
+    q20.write_text("qubits 20\ncnot 1 2\n")
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(q20), "--parts", "21")
+    assert code == 2 and "cannot split 20 qubit(s) into 21" in err
+    # K is read before the circuit, and the guard runs before a --gen circuit is made
+    code, _, err = run_cli(capsys, "oracle", "--circuit", str(tmp_path / "missing.qc"),
+                           "--parts", "2,3")
+    assert code == 2 and "single K" in err
     t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "oracle", "--gen", "qft:100000", "--parts", "2")
-    assert code == 3 and "100000 qubits exceeds the brute-force cap (30)" in err
+    assert code == 3 and "100000 qubits exceeds the brute-force cap (24)" in err
+    code, _, err = run_cli(capsys, "oracle", "--gen", "qft:23", "--parts", "2")
+    assert code == 3 and "4194303 partitions of 23 qubits into 2 parts" in err
     assert time.perf_counter() - t0 < 5  # the qft gates were never generated
 
 

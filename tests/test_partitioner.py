@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 from json.encoder import encode_basestring_ascii
 
@@ -27,8 +28,9 @@ from qcpart import (
     weight_matrix,
 )
 from qcpart import dpcore, partitioner
-from qcpart.partitioner import DpTable, _rgs_table
+from qcpart.partitioner import DpTable, _partition_count, _rgs_rows, check_oracle_width
 from conftest import build_random_circuit, connect
+from rgs_reference import rgs_table
 
 
 def wmat(circuit):
@@ -381,9 +383,8 @@ def test_capped_respects_bound_on_randoms():
         assert max(r.assignment.sizes()) <= cap
         assert r.cost == assignment_cost(r.assignment, w)
         # optimal among every k-block partition whose blocks fit the cap
-        labels, nblocks = _rgs_table(n)
         best = min(assignment_cost(PartitionAssignment.from_labels(row), w)
-                   for row in labels[nblocks == k].tolist()
+                   for row in _rgs_rows(n, k).T.tolist()
                    if max(row.count(b) for b in range(k)) <= cap)
         assert r.cost == best
 
@@ -397,18 +398,28 @@ def test_oracle_examples(w4):
 
 
 def test_oracle_cap(monkeypatch):
-    w = WeightMatrix(np.zeros((13, 13), dtype=np.int64))
-    with pytest.raises(SizeCapError):
-        oracle_partition(w, 2)
-    monkeypatch.setenv("QCPART_ORACLE_CAP", "5")
-    w6 = WeightMatrix(np.zeros((6, 6), dtype=np.int64))
-    with pytest.raises(SizeCapError):
-        oracle_partition(w6, 2)
-    monkeypatch.setenv("QCPART_ORACLE_CAP", "6")
-    assert oracle_partition(w6, 2).cost == 0
-    monkeypatch.setenv("QCPART_ORACLE_CAP", "6.5")
-    with pytest.raises(QcpartError, match="QCPART_ORACLE_CAP must be an integer, got '6.5'"):
-        oracle_partition(w6, 2)
+    # the width: above the DP's 24 qubits even a single partition is refused
+    for k in (1, 2, 25):
+        with pytest.raises(SizeCapError, match=r"25 qubits exceeds the brute-force cap \(24\)"):
+            oracle_partition(WeightMatrix(np.zeros((25, 25), dtype=np.int64)), k)
+    # the count: every K at 12 qubits, K=2 to 22 qubits and K=3 to 14 are admitted
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            check_oracle_width(n, k)
+    check_oracle_width(22, 2)
+    check_oracle_width(14, 3)
+    with pytest.raises(SizeCapError, match="4194303 partitions of 23 qubits into 2 parts"):
+        check_oracle_width(23, 2)
+    with pytest.raises(SizeCapError, match="2375101 partitions of 15 qubits into 3 parts"):
+        check_oracle_width(15, 3)
+    assert oracle_partition(WeightMatrix(np.zeros((13, 13), dtype=np.int64)), 2).cost == 0
+    # a count equal to the budget is admitted, one above it refused
+    monkeypatch.setattr(partitioner, "ORACLE_ROW_BUDGET", 7)
+    w4z, w5z = (WeightMatrix(np.zeros((n, n), dtype=np.int64)) for n in (4, 5))
+    assert oracle_partition(w4z, 2).cost == 0  # S(4, 2) = 7
+    with pytest.raises(SizeCapError, match="15 partitions of 5 qubits into 2 parts exceed"
+                                           " the brute-force budget of 7"):
+        oracle_partition(w5z, 2)
 
 
 def test_oracle_k_out_of_range(w4):
@@ -419,24 +430,68 @@ def test_oracle_k_out_of_range(w4):
 def test_rgs_enumeration_counts():
     bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
     stirling_4 = {1: 1, 2: 7, 3: 6, 4: 1}
-    labels, nblocks = _rgs_table(4)
-    assert labels.shape == (15, 4)
     for k, count in stirling_4.items():
-        assert int((nblocks == k).sum()) == count
+        assert _rgs_rows(4, k).shape == (4, count)
     for n, b in bell.items():
-        assert _rgs_table(n)[0].shape[0] == b
+        assert sum(_rgs_rows(n, k).shape[1] for k in range(1, n + 1)) == b
 
 
 def test_rgs_rows_are_restricted_growth_strings():
-    labels, _ = _rgs_table(5)
-    for row in labels:
-        seen = 0
-        for v in row:
-            assert v <= seen
-            seen = max(seen, v + 1)
+    for k in range(1, 6):
+        for row in _rgs_rows(5, k).T:
+            seen = 0
+            for v in row:
+                assert v <= seen
+                seen = max(seen, v + 1)
+            assert seen == k
+
+
+def stirling2(n, k):
+    """S(n, k) by the explicit sum, independent of the recurrence."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def test_rgs_rows_match_the_bell_table():
+    for n in range(1, 11):
+        labels, nblocks = rgs_table(n)
+        for k in range(1, n + 1):
+            rows = _rgs_rows(n, k)
+            assert not rows.flags.writeable
+            assert np.array_equal(rows.T, labels[nblocks == k])  # same rows, same order
+            assert rows.shape[1] == stirling2(n, k)
+
+
+def test_partition_count_is_stirling():
+    for n in range(0, 25):
+        for k in range(-1, n + 2):
+            assert _partition_count(n, k) == (stirling2(n, k) if 0 <= k <= n else 0)
+
+
+def test_oracle_picks_the_first_optimal_growth_string():
+    rng = np.random.default_rng(71)
+    for n in range(1, 9):
+        w = wmat(build_random_circuit(rng, n, 3 * n))
+        labels, nblocks = rgs_table(n)
+        costs = np.array([assignment_cost(PartitionAssignment.from_labels(row), w)
+                          for row in labels.tolist()])
+        for k in range(1, n + 1):
+            sel = np.flatnonzero(nblocks == k)
+            best = sel[np.argmin(costs[sel])]
+            r = oracle_partition(w, k)
+            assert r.cost == costs[best]
+            assert r.assignment == PartitionAssignment.from_labels(labels[best].tolist())
 
 
 # --- cross-checks and properties ----------------------------------------------
+
+def test_dp_equals_oracle_beyond_twelve_qubits():
+    # the oracle scores only K-block partitions, so it reaches past 12 qubits
+    # at small K; at these widths equal-cost splits may differ, so costs only
+    rng = np.random.default_rng(61)
+    for n, k in [(n, 2) for n in range(13, 21)] + [(13, 3), (14, 3)]:
+        w = wmat(build_random_circuit(rng, n, 8 * n))
+        assert oracle_partition(w, k).cost == dp_partition(w, k).cost
+
 
 def test_dp_equals_oracle_on_randoms():
     rng = np.random.default_rng(11)
