@@ -4,14 +4,45 @@ Each entry replaces the exact text ``old`` (which must occur once in
 ``file``) by ``new`` and names the tests that must each fail under it, as
 pytest node ids. A change that moves or rewrites the text updates its entry
 in the same commit; a change that adds a check adds the mutant it was
-tested against.
+tested against. A mutant that changes two lines spans the lines between
+them, kept in a constant below.
 """
 
+BIGRAPH = "src/qcpart/bigraph.py"
 CLI = "src/qcpart/cli.py"
 CIRCUIT = "src/qcpart/circuit.py"
 DPCORE = "src/qcpart/dpcore.py"
 EXECUTOR = "src/qcpart/executor.py"
 PARTITIONER = "src/qcpart/partitioner.py"
+
+# dpcore._odd_levels between its packed peel key and the back-pointer read from it
+ODD_LEVELS_BODY = (
+    "    cost = np.where(pc < cap, 0, INF)  # level 1: the mask x plus qubit 0 fits the cap\n"
+    "    levels = []\n"
+    "    for k in range(2, kmax + 1):\n"
+    "        bkey = np.where(cost < INF, (cost - wodd) << bits, _KEY_INF)\n"
+    "        if last_full_only and k == kmax:\n"
+    "            key = (akey + bkey[::-1]).min(keepdims=True)  # the full mask alone\n"
+    "        else:\n"
+    "            key = scan(akey, bkey)\n"
+    "        reach = key < _KEY_REACH\n"
+    "        cost = np.where(reach, wodd[-key.size:] + (key >> bits), INF)\n"
+)
+# dpcore._search between a prefix's cell count and its first later peel
+SEARCH_CELLS = (
+    "        ends = np.cumsum(counts)\n"
+    "        budget -= int(ends[-1])\n"
+    "        if budget < 0:\n"
+    "            return None\n"
+    "        least = bits + 1 - cap * (kmax - depth)  # qubits to peel so that the rest fits\n"
+    "        kept, later, found = 0, 0, []\n"
+    "        start = 0\n"
+    "        while start < counts.size:  # chunks of at most 2^(n-1) cells\n"
+    "            base = int(ends[start] - counts[start])\n"
+    "            stop = max(int(np.searchsorted(ends, base + size, side=\"right\")), start + 1)\n"
+    "            c = counts[start:stop]\n"
+    "            pref = np.repeat(np.arange(start, stop), c)\n"
+)
 
 MUTANTS = [
     # --- list specs and generators (cli) ----------------------------------------
@@ -53,6 +84,45 @@ MUTANTS = [
         "new": "    circuit = GENERATORS",
         "tests": [
             "tests/test_cli.py::test_gen_unknown_generator",
+        ],
+    },
+    # --- bench's K runs (cli) ---------------------------------------------------
+    {
+        "id": "bench-run-boundary-at-width-minus-one",
+        "file": CLI,
+        "old": "        inside = range(max(r.start, 1), min(r.stop, width + 1))\n"
+               "        below, above = range(r.start, min(r.stop, 1)),"
+               " range(max(r.start, width + 1), r.stop)\n",
+        "new": "        inside = range(max(r.start, 1), min(r.stop, width))\n"
+               "        below, above = range(r.start, min(r.stop, 1)),"
+               " range(max(r.start, width), r.stop)\n",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_outside_the_width",
+            "tests/test_cli.py::test_bench_ends_on_a_huge_k_range",
+        ],
+    },
+    {
+        "id": "bench-run-boundary-at-width-plus-one",
+        "file": CLI,
+        "old": "        inside = range(max(r.start, 1), min(r.stop, width + 1))\n"
+               "        below, above = range(r.start, min(r.stop, 1)),"
+               " range(max(r.start, width + 1), r.stop)\n",
+        "new": "        inside = range(max(r.start, 1), min(r.stop, width + 2))\n"
+               "        below, above = range(r.start, min(r.stop, 1)),"
+               " range(max(r.start, width + 2), r.stop)\n",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_outside_the_width",
+            "tests/test_cli.py::test_bench_ends_on_a_huge_k_range",
+        ],
+    },
+    {
+        "id": "bench-failed-source-row-per-value",
+        "file": CLI,
+        "old": "            for run in ks:\n",
+        "new": "            for run in (range(k, k + 1) for k in chain.from_iterable(ks)):\n",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_outside_the_width",
+            "tests/test_cli.py::test_bench_ends_on_a_huge_k_range",
         ],
     },
     # --- .real importer (circuit) -----------------------------------------------
@@ -195,6 +265,98 @@ MUTANTS = [
             "tests/test_columns.py::test_parse_edge_cases_match_reference",
         ],
     },
+    {
+        "id": "qc-operand-no-overflow-fallback",
+        "file": CIRCUIT,
+        "old": "    return q if abs(q) < 1 << 63 else 0\n",
+        "new": "    return q\n",
+        "tests": [
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+            "tests/test_columns.py::test_parse_matches_reference",
+        ],
+    },
+    {
+        "id": "qc-reports-last-bad-line",
+        "file": CIRCUIT,
+        "old": "        i = int(np.argmax(bad))\n        tokens, lineno = row(i + 1)\n",
+        "new": "        i = int(bad.size - 1 - np.argmax(bad[::-1]))\n        tokens, lineno = row(i + 1)\n",
+        "tests": [
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+            "tests/test_columns.py::test_parse_matches_reference",
+        ],
+    },
+    # --- circuit and graph records (circuit, bigraph) ---------------------------
+    {
+        "id": "circuit-equality-ignores-name",
+        "file": CIRCUIT,
+        "old": "        return ((self.width, self.labels, self.name) =="
+               " (other.width, other.labels, other.name)\n",
+        "new": "        return ((self.width, self.labels) == (other.width, other.labels)\n",
+        "tests": [
+            "tests/test_columns.py::test_every_constructor_gives_one_circuit",
+            "tests/test_columns.py::test_replace_keeps_the_columns_and_rechecks_them",
+        ],
+    },
+    {
+        "id": "weight-matrix-max-not-sum",
+        "file": BIGRAPH,
+        "old": "    return WeightMatrix(m + m.T)\n",
+        "new": "    return WeightMatrix(np.maximum(m, m.T))\n",
+        "tests": [
+            "tests/test_bigraph.py::test_weight_matrix_four_qubit_sample",
+            "tests/test_bigraph.py::test_weight_matrix_counts_two_qubit_gates",
+            "tests/test_partitioner.py::test_oracle_examples",
+        ],
+    },
+    # --- DP engine (dpcore) -----------------------------------------------------
+    {
+        "id": "packed-key-prefers-highest-tie",
+        "file": DPCORE,
+        "old": "    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits) + np.arange(size),"
+               " _KEY_INF)\n" + ODD_LEVELS_BODY +
+               "        levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))\n",
+        "new": "    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits)"
+               " + np.arange(size)[::-1], _KEY_INF)\n" + ODD_LEVELS_BODY +
+               "        levels.append((cost, np.where(reach, (size - 1 - (key & (size - 1))) << 1,"
+               " 0)))\n",
+        "tests": [
+            "tests/test_dpcore.py::test_engine_matches_scalar_reference",
+            "tests/test_partitioner.py::test_table_choices_are_lowest_optimal_submasks",
+            "tests/test_cli.py::test_report_bytes_pinned",
+        ],
+    },
+    {
+        "id": "convolve-skips-odd-high-blocks",
+        "file": DPCORE,
+        "old": "    for th in range(high + 1):\n",
+        "new": "    for th in range(0, high + 1, 2):\n",
+        "tests": [
+            "tests/test_dpcore.py::test_engine_matches_scalar_reference",
+            "tests/test_dpcore.py::test_bounded_scan_matches_dense_at_every_state",
+        ],
+    },
+    {
+        "id": "convolve-output-shared-across-solves",
+        "file": DPCORE,
+        "old": "    out = np.full(1 << bits, _KEY_INF)\n",
+        "new": "    out = _scratch.__dict__.setdefault(bits, np.full(1 << bits, _KEY_INF))\n",
+        "tests": [
+            "tests/test_dpcore.py::test_full_tables_share_no_scratch_state",
+            "tests/test_dpcore.py::test_engine_matches_scalar_reference",
+        ],
+    },
+    {
+        "id": "search-extends-by-every-peel",
+        "file": DPCORE,
+        "old": "        counts = peels.size - 1 - last\n" + SEARCH_CELLS +
+               "            first = ends[start:stop] - c - last[start:stop] - 1",
+        "new": "        counts = np.full(last.size, peels.size)\n" + SEARCH_CELLS +
+               "            first = ends[start:stop] - c",
+        "tests": [
+            "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
+            "tests/test_milp.py::test_dp_matches_milp",
+        ],
+    },
     # --- DP bounds and schedules (dpcore) ---------------------------------------
     {
         "id": "search-drops-prefix-at-bound",
@@ -329,6 +491,30 @@ MUTANTS = [
             "tests/test_cli.py::test_width_checked_before_allocation",
         ],
     },
+    # --- the result and its table (partitioner) ----------------------------------
+    {
+        "id": "ratio-over-part-count",
+        "file": PARTITIONER,
+        "old": "Fraction(self.cost, 2 * self.assignment.n)",
+        "new": "Fraction(self.cost, 2 * self.assignment.k)",
+        "tests": [
+            "tests/test_partitioner.py::test_ratio_r_is_cost_over_twice_the_width",
+            "tests/test_executor.py::test_metrics_exact_rational",
+            "tests/test_acceptance.py::test_criterion_08_ratio_metric",
+            "tests/test_cli.py::test_report_bytes_pinned",
+        ],
+    },
+    {
+        "id": "table-width-off-by-one",
+        "file": PARTITIONER,
+        "old": "self.n = self._end.bit_length() - 1",
+        "new": "self.n = self._end.bit_length() - 2",
+        "tests": [
+            "tests/test_partitioner.py::test_table_from_levels_alone_pinned",
+            "tests/test_partitioner.py::test_table_reads_match_the_level_arrays",
+            "tests/test_partitioner.py::test_table_bounds_checking",
+        ],
+    },
     # --- memo-table CSV and trace (partitioner, executor) -----------------------
     {
         "id": "csv-labels-always-quoted",
@@ -348,6 +534,16 @@ MUTANTS = [
         "tests": [
             "tests/test_executor.py::test_trace_rows_match_reference",
             "tests/test_executor.py::test_nine_gate_sample_trace",
+        ],
+    },
+    {
+        "id": "trace-json-rendering-unescaped",
+        "file": EXECUTOR,
+        "old": "{encode_basestring_ascii(rendering)}",
+        "new": "\"{rendering}\"",
+        "tests": [
+            "tests/test_executor.py::test_trace_to_json_matches_json_dumps",
+            "tests/test_cli.py::test_report_bytes_pinned",
         ],
     },
     {

@@ -31,9 +31,7 @@ from .errors import (
 from .executor import (
     GLOBAL,
     LOCAL,
-    Metrics,
     Trace,
-    compute_metrics,
     format_ratio,
     trace_execution,
     trace_to_json,
@@ -64,7 +62,6 @@ __all__ = [
     "GLOBAL",
     "InfeasiblePartitionError",
     "LOCAL",
-    "Metrics",
     "PartitionAssignment",
     "PartitionResult",
     "QcpartError",
@@ -75,7 +72,6 @@ __all__ = [
     "WeightMatrix",
     "assignment_cost",
     "bigraph_to_dot",
-    "compute_metrics",
     "dp_partition",
     "dp_table",
     "format_ratio",

@@ -28,11 +28,11 @@ from . import references
 from .bigraph import bigraph_to_dot, qc_to_bigraph, weight_matrix
 from .circuit import GENERATORS, Circuit, import_real, parse_circuit, render_circuit
 from .errors import CircuitSyntaxError, LineError, QcpartError, SizeCapError
-from .executor import (Trace, compute_metrics, format_ratio, trace_execution,
-                       trace_to_json, trace_to_text)
+from .executor import Trace, format_ratio, trace_execution, trace_to_json, trace_to_text
 from .partitioner import (
     DEFAULT_DP_CAP,
     DpTable,
+    PartitionResult,
     check_oracle_width,
     check_width,
     dp_partition,
@@ -191,20 +191,22 @@ def _check_threads(args) -> None:
               file=sys.stderr)
 
 
-def _collect_notes(circuit: Circuit, constrained: bool, max_part_size: int | None) -> list[str]:
+def _collect_notes(circuit: Circuit, result: PartitionResult) -> list[str]:
     notes = []
     if circuit.decomposed_mct:
         notes.append(
             "multi-control gates were decomposed into pairwise CNOTs; "
             "interaction-preserving approximation, not a unitary equivalence"
         )
-    if constrained:
-        notes.append(f"part sizes capped at {max_part_size}; optimum is relative to that constraint")
+    if result.constrained:
+        notes.append(f"part sizes capped at {result.max_part_size}; "
+                     f"optimum is relative to that constraint")
     return notes
 
 
-def _collect_references(circuit: Circuit, k: int, cost: int) -> dict | None:
+def _collect_references(circuit: Circuit, result: PartitionResult) -> dict | None:
     refs: dict = {}
+    k = result.assignment.k
     ratio = references.reported_ratio(circuit.name, k)
     if ratio is not None:
         refs["ratio"] = {
@@ -219,7 +221,7 @@ def _collect_references(circuit: Circuit, k: int, cost: int) -> dict | None:
         refs["cost"] = {
             "k": k,
             "reported_cost": reported,
-            "computed_cost": cost,
+            "computed_cost": result.cost,
             "note": "previously reported; reference circuit files unavailable, informational only",
         }
     return refs or None
@@ -282,13 +284,12 @@ def emit_report(report: RunReport, args) -> None:
         sys.stdout.write(emit_text(report))
 
 
-def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
-    metrics = compute_metrics(circuit, result)
+def _build_report(circuit, result, command, args, wall_ms) -> RunReport:
     flags = {
         "command": command,
         "circuit": args.circuit or args.gen,
-        "parts": k,
-        "max_part_size": getattr(args, "max_part_size", None),
+        "parts": result.assignment.k,
+        "max_part_size": result.max_part_size,
         "format": args.format,
         "decompose_mct": args.decompose_mct,
         "approx_decomposition": circuit.decomposed_mct,
@@ -300,13 +301,13 @@ def _build_report(circuit, k, result, command, args, wall_ms) -> RunReport:
         circuit_name=circuit.name,
         width=circuit.width,
         gate_count=circuit.size,
-        k=k,
+        k=result.assignment.k,
         cost=result.cost,
-        ratio_r=format_ratio(metrics.ratio_r),
+        ratio_r=format_ratio(result.ratio_r),
         assignment=result.assignment.as_lists(),
         flags=flags,
-        notes=_collect_notes(circuit, result.constrained, result.max_part_size) or None,
-        references=_collect_references(circuit, k, result.cost),
+        notes=_collect_notes(circuit, result) or None,
+        references=_collect_references(circuit, result),
         wall_time_ms=wall_ms,
     )
 
@@ -325,7 +326,7 @@ def cmd_partition(args) -> int:
     if args.dot:
         Path(args.dot).write_text(bigraph_to_dot(graph, circuit.name), encoding="utf-8")
         print(f"wrote bipartite graph to {args.dot}", file=sys.stderr)
-    report = _build_report(circuit, k, result, "partition", args, wall_ms)
+    report = _build_report(circuit, result, "partition", args, wall_ms)
     if args.trace and full:
         report.trace = trace_execution(circuit, result.assignment)
     report.dp_table = result.table
@@ -341,7 +342,7 @@ def cmd_oracle(args) -> int:
     w = weight_matrix(qc_to_bigraph(circuit))
     result = oracle_partition(w, k)
     wall_ms = _elapsed_ms(args, t0)
-    report = _build_report(circuit, k, result, "oracle", args, wall_ms)
+    report = _build_report(circuit, result, "oracle", args, wall_ms)
     if args.compare_dp and args.format != "csv":
         dp_result = dp_partition(w, k)
         report.dp_cost = dp_result.cost
@@ -358,6 +359,21 @@ def _bench_sources(args):
     return chain(args.circuit or [], sized)
 
 
+def _k_runs(ks: list[range], width: int):
+    """The runs that bench writes one row each for: every K of ``ks`` in
+    1..width on its own, and each unbroken run of a range below 1 or above
+    width whole, so that a wide range is never swept."""
+    for r in ks:
+        inside = range(max(r.start, 1), min(r.stop, width + 1))
+        below, above = range(r.start, min(r.stop, 1)), range(max(r.start, width + 1), r.stop)
+        yield from filter(None, [below, *(range(k, k + 1) for k in inside), above])
+
+
+def _span(run: range) -> str:
+    """An error row's note of the K values it stands for, when they are several."""
+    return f" (K {run.start}..{run.stop - 1})" if run.stop - run.start > 1 else ""
+
+
 def cmd_bench(args) -> int:
     _check_threads(args)
     if not args.circuit and not args.gen:
@@ -371,21 +387,21 @@ def cmd_bench(args) -> int:
             circuit = _checked_circuit(source, args, functools.partial(check_width, force=args.force))
         except (QcpartError, OSError, ValueError) as exc:
             label = source if isinstance(source, str) else "%s:%d" % source
-            for k in chain.from_iterable(ks):
-                writer.writerow([label, "", "", k, "", "", "", str(exc)])
+            for run in ks:
+                writer.writerow([label, "", "", run.start, "", "", "", f"{exc}{_span(run)}"])
             continue
         w = weight_matrix(qc_to_bigraph(circuit))
-        for k in chain.from_iterable(ks):
+        head = [circuit.name, circuit.width, circuit.size]
+        for run in _k_runs(ks, circuit.width):
             t0 = time.perf_counter()
-            try:
-                result = dp_partition(w, k, max_part_size=args.max_part_size, force=args.force)
+            try:  # a run of several K lies outside 1..width, so its first K fails
+                result = dp_partition(w, run.start, max_part_size=args.max_part_size,
+                                      force=args.force)
             except QcpartError as exc:
-                writer.writerow([circuit.name, circuit.width, circuit.size, k, "", "", "", str(exc)])
+                writer.writerow([*head, run.start, "", "", "", f"{exc}{_span(run)}"])
                 continue
             wall = _elapsed_ms(args, t0)
-            ratio = format_ratio(compute_metrics(circuit, result).ratio_r)
-            writer.writerow([circuit.name, circuit.width, circuit.size, k,
-                             result.cost, ratio, wall, ""])
+            writer.writerow([*head, run.start, result.cost, format_ratio(result.ratio_r), wall, ""])
     return EXIT_OK
 
 

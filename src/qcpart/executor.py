@@ -1,4 +1,4 @@
-"""Gate classification under a partition assignment: execution trace and metrics.
+"""Gate classification under a partition assignment: execution trace and its renderings.
 
 A two-qubit gate whose control and target sit in different parts is global
 and costs one teleportation; everything else is local and free. Parts are
@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .circuit import Circuit
-from .partitioner import PartitionAssignment, PartitionResult
+from .partitioner import PartitionAssignment
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -71,16 +71,6 @@ class Trace:
             yield (gate, *keys[i], n)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Evaluation summary; ratio_r = teleportations / (2 * qubits), exact."""
-
-    teleportations: int
-    qubits: int
-    ratio_r: Fraction
-    per_part_sizes: tuple[int, ...]
-
-
 def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> Trace:
     """Every gate of ``circuit`` classified at once under ``assignment``. Single-qubit
     gates are local; the global ones number the assignment's inter-part weight."""
@@ -92,16 +82,6 @@ def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> Trace:
     parts = np.asarray(assignment.part_labels(), np.int64)[np.where(ends < 0, ends[:, 1:], ends)]
     parts.setflags(write=False)
     return Trace(circuit, parts)
-
-
-def compute_metrics(circuit: Circuit, result: PartitionResult) -> Metrics:
-    """Teleportation count and the ratio R = teleportations / (2 * qubits)."""
-    return Metrics(
-        teleportations=result.cost,
-        qubits=circuit.width,
-        ratio_r=Fraction(result.cost, 2 * circuit.width),
-        per_part_sizes=result.assignment.sizes(),
-    )
 
 
 def format_ratio(r: Fraction) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -129,7 +130,8 @@ def _subset_labels(n: int) -> list[str]:
 class DpTable:
     """Full memo table over (mask, k): the optimal cost and the peeled
     submask that achieves it, read from the levels 1..k_max of a full-table
-    ``dpcore.solve``, ``(cost, peeled submask)`` arrays indexed by mask.
+    ``dpcore.solve``, ``(cost, peeled submask)`` arrays indexed by mask, so
+    ``k_max`` is their count and ``n`` the log2 of their length.
 
     ``cost_at`` returns None for unreachable states (fewer qubits than parts,
     or no split satisfying the part-size cap); ``choice_at`` returns None at
@@ -137,19 +139,19 @@ class DpTable:
     a read is one range test and one index that yields a plain int.
     """
 
-    def __init__(self, n: int, k_max: int, levels: list):
-        self.n = n
-        self.k_max = k_max
+    def __init__(self, levels: list):
         # per-level views, indexed by k; index 0 is None
         self._cost = [None] + [memoryview(c).toreadonly() for c, _ in levels]
         self._choice = [None] + [memoryview(s).toreadonly() for _, s in levels]
-        self._end = 1 << n
-        self._header = ["index", "qubits"] + [f"k={k}" for k in range(1, k_max + 1)]
+        self._end = len(self._cost[1])
+        self.n = self._end.bit_length() - 1
+        self.k_max = len(levels)
+        self._header = ["index", "qubits"] + [f"k={k}" for k in range(1, self.k_max + 1)]
 
     def _check(self, mask: int, k: int) -> None:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in 1..{self.k_max}")
-        if not 1 <= mask < (1 << self.n):
+        if not 1 <= mask < self._end:
             raise ValueError(f"mask must be a non-empty subset of {self.n} qubits")
 
     def cost_at(self, mask: int, k: int) -> int | None:
@@ -171,7 +173,7 @@ class DpTable:
                    for cost in self._cost[1:]]
         labels = _subset_labels(self.n)
         rows = [[mask, labels[mask], *costs]
-                for mask, costs in zip(range(1, 1 << self.n), zip(*columns))]
+                for mask, costs in zip(range(1, self._end), zip(*columns))]
         return {"header": list(self._header), "rows": rows}
 
     def _rows(self, label, null: str, head: str, sep: str, tail: str) -> list[str]:
@@ -230,6 +232,11 @@ class PartitionResult:
     @property
     def constrained(self) -> bool:
         return self.max_part_size is not None
+
+    @property
+    def ratio_r(self) -> Fraction:
+        """R = teleportations / (2 * qubits), exact."""
+        return Fraction(self.cost, 2 * self.assignment.n)
 
 
 def assignment_cost(assignment: PartitionAssignment, w: WeightMatrix) -> int:
@@ -303,7 +310,7 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
     return PartitionResult(
         assignment=assignment,
         cost=cost,
-        table=DpTable(n, k, levels) if keep_table else None,
+        table=DpTable(levels) if keep_table else None,
         max_part_size=max_part_size,
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -624,6 +625,57 @@ def test_bench_never_expands_a_range(capsys, monkeypatch):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 4 * 2**20, peak
+
+
+def test_bench_writes_one_row_per_run_outside_the_width(capsys, sample4, tmp_path,
+                                                         monkeypatch):
+    # every K in 1..4 is solved and gets a row; a run of K below 1 or above the
+    # width is tried once, for its first value, and a source that failed to
+    # load writes one row per range
+    calls = []
+
+    def spy(w, k, **kw):
+        calls.append(k)
+        return solve(w, k, **kw)
+
+    solve = cli.dp_partition
+    monkeypatch.setattr(cli, "dp_partition", spy)
+    missing = str(tmp_path / "missing.qc")
+    code, out, _ = run_cli(capsys, "bench", "--circuit", sample4, "--circuit", missing,
+                           "--parts=-2..0,1..1000,7", "--no-timing")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert calls == [-2, 1, 2, 3, 4, 5, 7]
+    assert [row[3] for row in rows] == ["-2", "1", "2", "3", "4", "5", "7", "-2", "1", "7"]
+    assert [row[4] for row in rows[1:5]] == ["0", "2", "4", "7"]
+    assert [row[-1] for row in rows[:7]] == [
+        "cannot split 4 qubit(s) into -2 non-empty part(s) (K -2..0)", "", "", "", "",
+        "cannot split 4 qubit(s) into 5 non-empty part(s) (K 5..1000)",
+        "cannot split 4 qubit(s) into 7 non-empty part(s)",  # one value: no run note
+    ]
+    gone = f"[Errno 2] No such file or directory: '{missing}'"
+    assert [row[-1] for row in rows[7:]] == [gone + " (K -2..0)", gone + " (K 1..1000)", gone]
+
+
+def test_bench_ends_on_a_huge_k_range(sample4, tmp_path):
+    # 10^12 values of K: the child is stopped at the first row past the
+    # expected ones, so a sweep of every K fails the test instead of hanging it
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    missing = str(tmp_path / "missing.qc")
+    for circuit, rows, last in (
+            (sample4, 5, "sample4,4,7,5,,,,cannot split 4 qubit(s) into 5 non-empty part(s)"
+                         " (K 5..1000000000000)\n"),
+            (missing, 1, f"{missing},,,1,,,,[Errno 2] No such file or directory: '{missing}'"
+                         " (K 1..1000000000000)\n")):
+        argv = [sys.executable, "-m", "qcpart.cli", "bench", "--circuit", circuit,
+                "--parts", "1..1000000000000", "--no-timing"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+            lines = list(itertools.islice(proc.stdout, rows + 2))
+            proc.kill()
+        assert proc.wait() == 0
+        assert len(lines) == rows + 1 and lines[-1] == last
 
 
 def test_bench_no_sources(capsys):

@@ -66,7 +66,7 @@ def test_engine_matches_scalar_reference():
             kmax = int(rng.integers(2, min(n, 5) + 1))
             for cap in (n, int(rng.integers(-(-n // kmax), n))):
                 ref_cost, ref_choice = reference_solve(w, kmax, cap, full_table=True)
-                table = DpTable(n, kmax, dpcore.solve(w, kmax, cap, full_table=True)[2])
+                table = DpTable(dpcore.solve(w, kmax, cap, full_table=True)[2])
                 for k in range(2, kmax + 1):
                     for mask in range(1, 1 << n):
                         cost, choice = table.cost_at(mask, k), table.choice_at(mask, k)

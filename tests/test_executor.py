@@ -10,7 +10,6 @@ from qcpart import (
     Circuit,
     PartitionAssignment,
     assignment_cost,
-    compute_metrics,
     dp_partition,
     format_ratio,
     gen_qft,
@@ -90,20 +89,18 @@ def test_trace_counts_match_cut_weight():
 
 def test_metrics_exact_rational(circ4, w4):
     r = dp_partition(w4, 3)
-    m = compute_metrics(circ4, r)
-    assert m.teleportations == 4
-    assert m.qubits == 4
-    assert m.ratio_r == Fraction(1, 2)
-    assert m.per_part_sizes == (1, 1, 2)
+    assert r.cost == 4
+    assert r.assignment.n == circ4.width == 4
+    assert r.ratio_r == Fraction(1, 2)
+    assert r.assignment.sizes() == (1, 1, 2)
 
 
 def test_metrics_qft16():
     qft = gen_qft(16)
     r = dp_partition(weight_matrix(qc_to_bigraph(qft)), 3)
-    m = compute_metrics(qft, r)
-    assert m.teleportations == 29  # C(16,2) - C(14,2)
-    assert m.ratio_r == Fraction(29, 32)
-    assert format_ratio(m.ratio_r) == "0.91"
+    assert r.cost == 29  # C(16,2) - C(14,2)
+    assert r.ratio_r == Fraction(29, 32)
+    assert format_ratio(r.ratio_r) == "0.91"
 
 
 def test_ratio_threshold_meaning():

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import tracemalloc
 from json.encoder import encode_basestring_ascii
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from qcpart import (
     format_subset,
     gen_qft,
     oracle_partition,
+    parse_circuit,
     qc_to_bigraph,
     subset_of,
     subset_qubits,
@@ -29,7 +33,7 @@ from qcpart import (
 )
 from qcpart import dpcore, partitioner
 from qcpart.partitioner import DpTable, _partition_count, _rgs_rows, check_oracle_width
-from conftest import build_random_circuit, connect
+from conftest import SAMPLE3, SAMPLE4, SAMPLE4H, build_random_circuit, connect
 from rgs_reference import rgs_table
 
 
@@ -279,7 +283,8 @@ def test_table_json_string_memory_at_16_qubits():
     cost = rng.integers(0, 400, 1 << 16)
     cost[rng.random(cost.size) < 0.3] = dpcore.INF
     one = np.where(dpcore._popcounts(16) <= 13, 0, dpcore.INF)  # level 1 at a cap of 13
-    t = DpTable(16, 2, [(one, np.zeros_like(one)), (cost, np.zeros_like(cost))])
+    t = DpTable([(one, np.zeros_like(one)), (cost, np.zeros_like(cost))])
+    assert (t.n, t.k_max) == (16, 2)
     texts, peaks = [], []
     for render in (t.json_string, lambda: _per_row_json(t)):
         tracemalloc.start()  # counts only what is allocated from here on
@@ -321,7 +326,8 @@ def test_table_reads_match_the_level_arrays():
         for kmax in sorted({1, int(rng.integers(1, n + 1)), n}):
             for cap in sorted({n, -(-n // kmax) + int(rng.integers(0, 2))}):
                 *_, levels = dpcore.solve(w, kmax, min(cap, n), full_table=True)
-                t = DpTable(n, kmax, levels)
+                t = DpTable(levels)
+                assert (t.n, t.k_max) == (n, kmax)
                 masks = range(1, 1 << n)
                 fits = [mask.bit_count() <= cap for mask in masks]
                 assert [t.cost_at(m, 1) for m in masks] == [0 if f else None for f in fits]
@@ -340,6 +346,44 @@ def test_table_reads_match_the_level_arrays():
                 # a bool is an int: True reads as mask 1
                 assert t.cost_at(True, kmax) == t.cost_at(1, kmax)
                 assert t.choice_at(True, kmax) == t.choice_at(1, kmax)
+
+
+def _seeded_levels():
+    """(n, k_max, levels) of seeded full tables, capped and not, and one
+    synthetic level set with random costs and back-pointers."""
+    rng = np.random.default_rng(2323)
+    for n, kmax, capped in ((1, 1, False), (3, 3, False), (5, 2, True), (7, 4, False),
+                            (9, 3, True), (10, 5, True)):
+        w = wmat(build_random_circuit(rng, n, 3 * n)).m
+        cap = -(-n // kmax) if capped else n
+        yield n, kmax, dpcore.solve(w, kmax, cap, full_table=True)[2]
+    cost = rng.integers(0, 400, 1 << 11)
+    cost[rng.random(cost.size) < 0.3] = dpcore.INF
+    one = np.where(dpcore._popcounts(11) <= 8, 0, dpcore.INF)
+    yield 11, 2, [(one, np.zeros_like(one)), (cost, rng.integers(0, 1 << 11, 1 << 11))]
+
+
+def test_table_from_levels_alone_pinned():
+    # sha256 prefixes of every cost_at/choice_at read, json_string() with and
+    # without a pad, and csv_string(), as DpTable(n, k_max, levels) gave them
+    # when it was still told n and k_max
+    pinned = [
+        ("a13d2d5f625002d2", "0284110d0496253a", "892551d7888efaac", "3f3c1b52d9ca18c0"),
+        ("ed1dd2c0070df9a4", "47aab7f9b279d818", "debf7f2fe0bb5ae7", "f1b93c19385c333b"),
+        ("23c33ee26d69016e", "7fa67804e5d2e5ee", "70e406424c2973fc", "e2ad5920a9aff65a"),
+        ("dbf957f23af2e78a", "852e766a5e94d6e5", "7a6342d57cca76b8", "4fa455ccc0aaeda7"),
+        ("8c20425cc53c084d", "699187e021772349", "6d8c608a056b8bd6", "56dd0365c82b8853"),
+        ("3e1e4dfe920446af", "a018247021ac5ad6", "8ba03d994a0dd0db", "1cd211daa4f1c5ea"),
+        ("875423c39c0a2639", "71bc8a425b952437", "c0a9e971347354eb", "f6c9aa8f01b64489"),
+    ]
+    for (n, kmax, levels), digests in zip(_seeded_levels(), pinned, strict=True):
+        t = DpTable(levels)
+        assert (t.n, t.k_max) == (n, kmax)
+        assert t.payload()["header"] == ["index", "qubits", *(f"k={k}" for k in range(1, kmax + 1))]
+        reads = repr([(t.cost_at(m, k), t.choice_at(m, k))
+                      for k in range(1, kmax + 1) for m in range(1, 1 << n)])
+        texts = (reads, t.json_string(), t.json_string("  "), t.csv_string())
+        assert tuple(hashlib.sha256(s.encode()).hexdigest()[:16] for s in texts) == digests, n
 
 
 # --- capped ------------------------------------------------------------------
@@ -509,6 +553,22 @@ def test_dp_equals_oracle_property(n, n_gates, seed, data):
     w = wmat(build_random_circuit(np.random.default_rng(seed), n, n_gates))
     k = data.draw(st.integers(min_value=1, max_value=n))
     assert dp_partition(w, k).cost == oracle_partition(w, k).cost
+
+
+def test_ratio_r_is_cost_over_twice_the_width():
+    # R of every DP and oracle result, capped or not, at every K of the sample
+    # circuits and seeded random ones, comes from the result's own qubit count
+    rng = np.random.default_rng(2300)
+    circuits = [parse_circuit(text) for text in (SAMPLE3, SAMPLE4, SAMPLE4H)]
+    circuits += [build_random_circuit(rng, n, int(rng.integers(0, 4 * n + 1))) for n in (1, 5, 7, 9)]
+    for circuit in circuits:
+        w = wmat(circuit)
+        n = circuit.width
+        for k in range(1, n + 1):
+            capped = dp_partition(w, k, max_part_size=-(-n // k))
+            for r in (dp_partition(w, k), oracle_partition(w, k), capped):
+                assert type(r.ratio_r) is Fraction
+                assert r.ratio_r == Fraction(r.cost, 2 * r.assignment.n) == Fraction(r.cost, 2 * n)
 
 
 def test_cost_monotone_in_k():

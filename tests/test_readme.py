@@ -3,6 +3,7 @@ fail the suite."""
 
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 from qcpart import cli
@@ -18,6 +19,7 @@ def test_python_api_block_runs(monkeypatch):
     ns: dict = {}
     exec(compile(blocks[0], "README.md", "exec"), ns)
     assert ns["result"].cost == 4
+    assert ns["ratio"] == Fraction(1, 2)
     assert ns["capped"].cost == 3 and ns["capped"].assignment.as_lists() == [[1, 2], [3, 4]]
     assert ns["table_text"].startswith("index,qubits,k=1,k=2,k=3\n")
 
