@@ -125,6 +125,36 @@ MUTANTS = [
             "tests/test_cli.py::test_bench_ends_on_a_huge_k_range",
         ],
     },
+    # --- bench's size runs (cli) ------------------------------------------------
+    {
+        "id": "bench-sweeps-every-refused-size",
+        "file": CLI,
+        "old": "max(r.stop for r in ranges) if args.force else DEFAULT_DP_CAP",
+        "new": "max(r.stop for r in ranges)",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_of_refused_sizes",
+            "tests/test_cli.py::test_bench_ends_on_a_huge_size_range",
+        ],
+    },
+    {
+        "id": "bench-force-runs-refused-sizes",
+        "file": CLI,
+        "old": "max(r.stop for r in ranges) if args.force else DEFAULT_DP_CAP",
+        "new": "DEFAULT_DP_CAP",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_of_refused_sizes",
+        ],
+    },
+    {
+        "id": "bench-size-run-without-note",
+        "file": CLI,
+        "old": "f\"{exc}{note}{_span(run)}\"",
+        "new": "f\"{exc}{_span(run)}\"",
+        "tests": [
+            "tests/test_cli.py::test_bench_writes_one_row_per_run_of_refused_sizes",
+            "tests/test_cli.py::test_bench_ends_on_a_huge_size_range",
+        ],
+    },
     # --- .real importer (circuit) -----------------------------------------------
     {
         "id": "real-t2-skips-control-target-check",
@@ -328,8 +358,8 @@ MUTANTS = [
     {
         "id": "convolve-skips-odd-high-blocks",
         "file": DPCORE,
-        "old": "    for th in range(high + 1):\n",
-        "new": "    for th in range(0, high + 1, 2):\n",
+        "old": "yield from ((th, whole) for th in range(1 << (bits - low)))",
+        "new": "yield from ((th, whole) for th in range(0, 1 << (bits - low), 2))",
         "tests": [
             "tests/test_dpcore.py::test_engine_matches_scalar_reference",
             "tests/test_dpcore.py::test_bounded_scan_matches_dense_at_every_state",
@@ -353,8 +383,67 @@ MUTANTS = [
         "new": "        counts = np.full(last.size, peels.size)\n" + SEARCH_CELLS +
                "            first = ends[start:stop] - c",
         "tests": [
+            # it keeps every cost, which is all the MILP cases check
             "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
-            "tests/test_milp.py::test_dp_matches_milp",
+        ],
+    },
+    # --- the scan over a peel set (dpcore) --------------------------------------
+    {
+        "id": "scan-whole-table-for-incomplete-low-set",
+        "file": DPCORE,
+        "old": "        complete = t.size == (1 << low) - (th == 0)\n",
+        "new": "        complete = t.size >= (1 << low) - 1\n",
+        "tests": [
+            "tests/test_dpcore.py::test_scan_over_a_peel_set_matches_brute_force",
+        ],
+    },
+    {
+        "id": "scan-block-0-needs-the-empty-peel",
+        "file": DPCORE,
+        "old": "        complete = t.size == (1 << low) - (th == 0)\n",
+        "new": "        complete = t.size == 1 << low\n",
+        "tests": [
+            # exact either way; the test counts block 0 scanned whole
+            "tests/test_dpcore.py::test_scan_tables_follow_the_low_peels",
+        ],
+    },
+    {
+        "id": "scan-shares-block-0-whole-table",
+        "file": DPCORE,
+        "old": "        if not complete and uses[key] > 1:",
+        "new": "        if uses[key] > 1:",
+        "tests": [
+            "tests/test_dpcore.py::test_scan_over_a_peel_set_matches_brute_force",
+            "tests/test_dpcore.py::test_scan_tables_follow_the_low_peels",
+        ],
+    },
+    {
+        "id": "scan-empty-unions-unmasked",
+        "file": DPCORE,
+        "old": "            part[empty] = _KEY_INF",
+        "new": "            pass",
+        "tests": [
+            "tests/test_dpcore.py::test_scan_over_a_peel_set_matches_brute_force",
+            "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
+        ],
+    },
+    {
+        "id": "scan-blocks-without-peels",
+        "file": DPCORE,
+        "old": "    for th, t, key in zip(highs.tolist(), lows, keys):\n",
+        "new": "    yield from ((th, whole) for th in range(1 << (bits - low)) if th not in highs)\n"
+               "    for th, t, key in zip(highs.tolist(), lows, keys):\n",
+        "tests": [
+            "tests/test_dpcore.py::test_scan_over_a_peel_set_matches_brute_force",
+        ],
+    },
+    {
+        "id": "scan-shares-tables-by-size",
+        "file": DPCORE,
+        "old": "    keys = [t.tobytes() for t in lows]\n",
+        "new": "    keys = [t.size for t in lows]\n",
+        "tests": [
+            "tests/test_dpcore.py::test_scan_over_a_peel_set_matches_brute_force",
         ],
     },
     # --- DP bounds and schedules (dpcore) ---------------------------------------
@@ -428,16 +517,6 @@ MUTANTS = [
             "tests/test_dpcore.py::test_search_matches_dense_seeded",
             "tests/test_dpcore.py::test_capped_bound_routes_the_search",
             "tests/test_metamorphic.py::test_a_cap_never_lowers_the_cost",
-        ],
-    },
-    {
-        "id": "bounded-scan-skips-last-peel",
-        "file": DPCORE,
-        "old": "zip(akey[peels].tolist(), views)",
-        "new": "zip(akey[peels].tolist()[:-1], views)",
-        "tests": [
-            "tests/test_dpcore.py::test_bounded_scan_matches_dense_at_every_state",
-            "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
         ],
     },
     # --- brute-force oracle and its guard (partitioner) --------------------------

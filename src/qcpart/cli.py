@@ -352,26 +352,29 @@ def cmd_oracle(args) -> int:
 
 
 def _bench_sources(args):
-    """Each input as a path or a ``(generator, size)`` pair. Every --gen spec is
-    checked here, before the first input is read; no range is expanded."""
+    """Each input, as a path or a ``(generator, size)`` pair, and the note of
+    the sizes it stands for: a run of sizes that the width guard refuses or
+    that cannot be generated is one input. Every --gen spec is checked here,
+    before the first input is read; no range is expanded."""
     gens = [(name, _int_ranges(sizes)) for name, sizes in map(_split_gen_spec, args.gen or [])]
-    sized = ((name, size) for name, ranges in gens for size in chain.from_iterable(ranges))
-    return chain(args.circuit or [], sized)
+    sized = (((name, run.start), _span(run, f"{name}:")) for name, ranges in gens
+             for run in _runs(ranges, max(r.stop for r in ranges) if args.force else DEFAULT_DP_CAP))
+    return chain(((path, "") for path in args.circuit or []), sized)
 
 
-def _k_runs(ks: list[range], width: int):
-    """The runs that bench writes one row each for: every K of ``ks`` in
-    1..width on its own, and each unbroken run of a range below 1 or above
-    width whole, so that a wide range is never swept."""
-    for r in ks:
+def _runs(ranges: list[range], width: int):
+    """The runs that bench writes one row each for: every value of ``ranges``
+    in 1..width on its own, and each unbroken run of a range below 1 or
+    above width whole, so that a wide range is never swept."""
+    for r in ranges:
         inside = range(max(r.start, 1), min(r.stop, width + 1))
         below, above = range(r.start, min(r.stop, 1)), range(max(r.start, width + 1), r.stop)
         yield from filter(None, [below, *(range(k, k + 1) for k in inside), above])
 
 
-def _span(run: range) -> str:
-    """An error row's note of the K values it stands for, when they are several."""
-    return f" (K {run.start}..{run.stop - 1})" if run.stop - run.start > 1 else ""
+def _span(run: range, what: str = "K ") -> str:
+    """An error row's note of the values it stands for, when they are several."""
+    return f" ({what}{run.start}..{run.stop - 1})" if run.stop - run.start > 1 else ""
 
 
 def cmd_bench(args) -> int:
@@ -382,17 +385,17 @@ def cmd_bench(args) -> int:
     sources = _bench_sources(args)  # a bad spec is refused before the header is written
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "width", "gates", "k", "cost", "ratio_r", "wall_time_ms", "error"])
-    for source in sources:
+    for source, note in sources:
         try:
             circuit = _checked_circuit(source, args, functools.partial(check_width, force=args.force))
         except (QcpartError, OSError, ValueError) as exc:
             label = source if isinstance(source, str) else "%s:%d" % source
             for run in ks:
-                writer.writerow([label, "", "", run.start, "", "", "", f"{exc}{_span(run)}"])
+                writer.writerow([label, "", "", run.start, "", "", "", f"{exc}{note}{_span(run)}"])
             continue
         w = weight_matrix(qc_to_bigraph(circuit))
         head = [circuit.name, circuit.width, circuit.size]
-        for run in _k_runs(ks, circuit.width):
+        for run in _runs(ks, circuit.width):
             t0 = time.perf_counter()
             try:  # a run of several K lies outside 1..width, so its first K fails
                 result = dp_partition(w, run.start, max_part_size=args.max_part_size,

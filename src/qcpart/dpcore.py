@@ -24,16 +24,19 @@ over x:
 
 A packed key ``(A[t] << (n-1)) + t`` carries the peeled submask t in its low
 bits, so a minimum over keys yields both the optimum and the lowest optimal
-t. One loop, ``_odd_levels``, computes the levels of every schedule, and a
-scan gives a middle level's keys. The dense scan, ``_convolve``, splits the
-n-1 bits into up to 10 low bits, scanned in one gather over a cached table
-of the 3^L disjoint low-bit pairs sorted by union, and the high bits, whose
-3^H disjoint pairs a Python loop walks block by block (each peeled block is
-gathered once, then paired with every disjoint rest); ``np.minimum.reduceat``
-takes each union's minimum. Only the full mask is needed at the last level
-of a partition, and there the loop takes one vector op over the 2^(n-1)
-submasks, whatever the scan, and keeps that one entry. A solve returns
-the split that the back-pointers give from the full mask down.
+t. One loop, ``_odd_levels``, computes the levels of every schedule, and one
+scan, ``_convolve``, gives a middle level's keys. It splits the n-1 bits
+into up to 10 low bits, scanned in one gather over a cached table of the 3^L
+disjoint low-bit pairs sorted by union, and the high bits, whose disjoint
+pairs a Python loop walks block by block (each peeled block is gathered
+once, then paired with every disjoint rest); ``np.minimum.reduceat`` takes
+each union's minimum. Given a set of peels, the scan skips the high blocks
+that hold none, and every other block scans the table filtered to its low
+peels, where a union left without a pair is unreachable. The dense schedule
+scans every peel at every level. Only the full mask is needed at the last
+level of a partition, and there the loop takes one vector op over the
+2^(n-1) submasks and keeps that one entry. A solve returns the split that
+the back-pointers give from the full mask down.
 
 A partition solve with K >= 3 first tries a pruned search over admissible
 peels. Let U be the cost of any feasible K-split within the cap. Every part
@@ -60,43 +63,41 @@ level, which yields the lexicographically first optimal sequence. A
 sorted sequence is never lexicographically after its other orders, so
 that first sequence is ascending: the search's tuple.
 
-When the search gives up, a level schedule runs. The bounded-peel scan
-(``_peel_scan``) takes the packed-key minimum over T only, one np.minimum
-per peel over the strided view of the states that contain it. Skipping the
-other peels changes nothing at the states the walk visits: a peel that is
-optimal at one of them extends to an optimal split, all of whose parts
-lie in T, so their costs are exact and their lowest optimal peels are the
-dense schedule's. Every other entry of a bounded level may sit
+When the search gives up, the bounded schedule runs: the scan over T only.
+Skipping the other peels changes nothing at the states the walk visits: a
+peel that is optimal at one of them extends to an optimal split, all of
+whose parts lie in T, so their costs are exact and their lowest optimal
+peels are the dense schedule's. Every other entry of a bounded level may sit
 above its true optimum (never below it). The shared last level stays
 exact: a peel outside T is above the cap (an unreachable key), leaves
 fewer than K-1 qubits (level K-1 cost INF) or cuts more than U >= OPT, so
 its key lies strictly above the optimum and can neither win nor tie.
 
-``plan`` routes a solve by counted work, never by measured time. The
-dense schedule costs 3^(n-1) pair-ops per level. The bounded one updates
-the sum over t in T of 2^(n-1-|t|) states per level, each charged
-PEEL_ELEMENT_COST pair-ops, plus PEEL_CHARGE pair-ops per peel for its
-numpy calls. A search cell (one prefix and one later peel) is charged
-SEARCH_CELL_COST pair-ops. The search may examine cells worth half the
-cheaper level schedule, so a search that gives up costs at most about
-half of that schedule again. It gives up, before examining them, once the
-cells of the next extension pass that budget, and also once more than
+``plan`` routes a solve by counted work, never by measured time, in one
+unit: the pair-op, one (peel, rest) pair that the scan sums. A level costs
+3^(n-1) pair-ops over every peel, and the sum over t in T of 2^(n-1-|t|)
+over T, which is never more. A search cell (one prefix and one later
+peel) is charged SEARCH_CELL_COST pair-ops. The search may examine cells
+worth half the bounded schedule, so a search that gives up costs at most
+about half of that schedule again. It gives up, before examining them, once
+the cells of the next extension pass that budget, and also once more than
 2^(n-1) prefixes of one length survive; it examines cells in chunks of at
-most 2^(n-1), so its memory stays within a few arrays of 2^(n-1)
-entries. The constants were fitted on a 2-core Xeon VM, where a dense
-pair-op takes about 2.5-3 ns, a bounded update about 5 ns, a peel's calls
-about 10 us and a search cell about 20-25 ns. Full tables, K = 2 and
-solves whose (K-2)*3^(n-1) is below BOUND_FLOOR stay dense without
-computing U.
+most 2^(n-1), so its memory stays within a few arrays of 2^(n-1) entries.
+SEARCH_CELL_COST was fitted on a 2-core Xeon VM, where a pair-op takes about
+2.5-3 ns and a search cell about 20-25 ns. Full tables, K = 2 and solves
+whose (K-2)*3^(n-1) is below BOUND_FLOOR scan every peel without computing
+U.
 
 A full table solves every mask. The masks whose lowest qubit is b are the
 same problem on qubits b..n-1, so the full table is n runs of the odd-mask
 solve, each scattered into per-level arrays indexed by mask. Run time grows
-as 3^n. It always runs the dense scan, so every entry is exact.
+as 3^n. It always scans every peel, so every entry is exact.
 
-A dense solve that scans a level (a full table, or K >= 3) allocates
+A solve that scans a level (a full table, or K >= 3) allocates
 ``_convolve``'s scratch (2 x 3^10 + 2^10 int64 at most) once, and every
-convolution of its levels and suffix runs works in a slice of it. A K=2
+convolution of its levels and suffix runs works in a slice of it. The
+bounded schedule keeps the filtered tables that several blocks share with
+it, and builds the others when their block is scanned. A K=2
 partition's only level is the full mask's vector op, so it allocates
 none. Fresh arrays of that size per convolution can be mapped and
 page-faulted afresh each time: a 14-qubit K=4 full table, solved in a new
@@ -106,8 +107,8 @@ none and 40 ms. A process-wide buffer would hold the memory after a solve.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import groupby
 
 import numpy as np
 
@@ -117,10 +118,8 @@ INF = 1 << 62  # cost of an unreachable state
 _KEY_INF = 1 << 61  # packed key of an unreachable term; two of them fit in int64
 _KEY_REACH = 1 << 60  # a packed sum at or above this is unreachable
 LOW_BITS = 10
-BOUND_FLOOR = 3 ** 11  # fewer pair-ops than this: dense, no bound computed
-PEEL_ELEMENT_COST = 2  # dense pair-ops per state a bounded peel updates
-PEEL_CHARGE = 4096  # dense pair-ops charged per peel and level
-SEARCH_CELL_COST = 8  # dense pair-ops charged per cell the search examines
+BOUND_FLOOR = 3 ** 11  # fewer pair-ops than this: every peel, no bound computed
+SEARCH_CELL_COST = 8  # pair-ops charged per cell the search examines
 
 
 def _internal_weights(w: np.ndarray) -> np.ndarray:
@@ -163,21 +162,60 @@ def _pair_table(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _scratch(bits: int) -> tuple:
-    """``_convolve``'s work arrays for up to ``bits`` bits: 3^L, 3^L and 2^L entries."""
+    """``_convolve``'s work arrays (3^L, 3^L and 2^L entries) and shared tables."""
     low = min(bits, LOW_BITS)
-    return tuple(np.empty(size, dtype=np.int64) for size in (3 ** low, 3 ** low, 1 << low))
+    return *(np.empty(size, dtype=np.int64) for size in (3 ** low, 3 ** low, 1 << low)), {}
 
 
-def _convolve(akey: np.ndarray, bkey: np.ndarray, scratch: tuple) -> np.ndarray:
-    """min over t <= x of akey[t] + bkey[x ^ t], for every x below akey.size."""
+def _low_table(low_peels: np.ndarray, low: int) -> tuple:
+    """``_pair_table(low)`` filtered to the pairs whose peeled part is in
+    ``low_peels``, as intp, each union's first pair, and the unions left
+    with no pair. The union of all low bits keeps its pairs (t, ~t)."""
+    tl, ul, starts = _pair_table(low)
+    keep = np.flatnonzero(np.isin(tl, low_peels))
+    starts = np.searchsorted(keep, starts)
+    return tl[keep].astype(np.intp), ul[keep].astype(np.intp), starts, \
+        np.flatnonzero(starts[:-1] == starts[1:])
+
+
+def _blocks(bits: int, peels, shared: dict):
+    """Each high block that ``_convolve`` scans, and its pair table: every
+    block with the whole table, or with ``peels`` only the blocks that hold
+    a peel, each with the table filtered to its low peels. A block whose
+    low peels are all the low masks (block 0: all but the empty one, whose
+    key is unreachable) takes the whole table. Tables that several blocks
+    use are kept in ``shared``; the rest are built when their block is
+    scanned."""
+    low = min(bits, LOW_BITS)
+    whole = (*_pair_table(low), np.empty(0, dtype=np.intp))
+    if peels is None:
+        yield from ((th, whole) for th in range(1 << (bits - low)))
+        return
+    highs, firsts = np.unique(peels >> low, return_index=True)
+    lows = np.split(peels & ((1 << low) - 1), firsts[1:])
+    keys = [t.tobytes() for t in lows]
+    uses = Counter(keys)
+    for th, t, key in zip(highs.tolist(), lows, keys):
+        complete = t.size == (1 << low) - (th == 0)
+        table = whole if complete else shared.get(key) or _low_table(t, low)
+        if not complete and uses[key] > 1:  # block 0 can share a key with an incomplete set
+            shared[key] = table
+        yield th, table
+
+
+def _convolve(akey: np.ndarray, bkey: np.ndarray, scratch: tuple, peels=None) -> np.ndarray:
+    """min over t <= x of akey[t] + bkey[x ^ t], for every x below akey.size,
+    over every t, or over the ascending non-empty masks ``peels`` only
+    (unreachable where none fits). akey[0] is unreachable."""
     bits = akey.size.bit_length() - 1
     low = min(bits, LOW_BITS)
     lo = 1 << low
-    tl, ul, starts = _pair_table(low)
-    out = np.full(1 << bits, _KEY_INF)
-    peeled, summed, part = (a[:size] for a, size in zip(scratch, (tl.size, tl.size, lo)))
     high = (1 << (bits - low)) - 1
-    for th in range(high + 1):
+    out = np.full(1 << bits, _KEY_INF)
+    *work, part, shared = scratch
+    part = part[:lo]
+    for th, (tl, ul, starts, empty) in _blocks(bits, peels, shared):
+        peeled, summed = (a[:tl.size] for a in work)
         # indices are in range; mode="raise" would buffer and bounds-check
         np.take(akey[th * lo:(th + 1) * lo], tl, out=peeled, mode="clip")
         uh = free = high ^ th
@@ -185,6 +223,7 @@ def _convolve(akey: np.ndarray, bkey: np.ndarray, scratch: tuple) -> np.ndarray:
             np.take(bkey[uh * lo:(uh + 1) * lo], ul, out=summed, mode="clip")
             summed += peeled
             np.minimum.reduceat(summed, starts, out=part)
+            part[empty] = _KEY_INF  # reduceat gave them the next union's first pair
             block = out[(th | uh) * lo:((th | uh) + 1) * lo]
             np.minimum(block, part, out=block)
             if uh == 0:
@@ -354,62 +393,19 @@ def _search(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray, sizes: np.n
 
 
 def plan(win: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple[str, object]:
-    """The schedule of a solve, with what it needs, chosen by counted work:
-    ("search", (cost, peels)), the split ``_search`` found, when it finishes
-    within a budget of cells worth half the cheaper level schedule's work,
-    else ("bounded", peels) when the bounded schedule does less work than
-    the dense one, else ("dense", None)."""
+    """The schedule of a solve, with what it needs: ("search", (cost,
+    peels)), the split ``_search`` found, when it finishes within a budget
+    of cells worth half the scan's counted pair-ops, else ("scan", peels)
+    for ``_convolve``: None (every peel) for full tables, K = 2 and solves
+    below BOUND_FLOOR, else the admissible peels."""
     bits = win.size.bit_length() - 2
-    dense = (kmax - 2) * 3 ** bits
-    if full_table or kmax < 3 or dense < BOUND_FLOOR:
-        return "dense", None
+    if full_table or kmax < 3 or (kmax - 2) * 3 ** bits < BOUND_FLOOR:
+        return "scan", None
     bound = _upper_bound(win, kmax, cap)
     peels, sizes = _admissible_peels(win, kmax, cap, bound)
-    updates = int((1 << (bits - sizes)).sum())
-    bounded = (kmax - 2) * (PEEL_ELEMENT_COST * updates + PEEL_CHARGE * peels.size)
-    split = _search(win, kmax, cap, peels, sizes, bound,
-                    min(dense, bounded) // (2 * SEARCH_CELL_COST), 1 << bits)
-    if split is not None:
-        return "search", split
-    return ("bounded", peels) if bounded < dense else ("dense", None)
-
-
-def _peel_views(t: int, bits: int) -> tuple:
-    """How to view the states that contain peel t, and their rests x \\ t,
-    in an array of 2^bits masks: reshape to one axis per run of bits that
-    are all in t or all out of it (highest run first), index t's runs at
-    all-ones or at zero, then order the free axes for iteration. A
-    contiguous lowest run of at least 8 masks stays innermost; a shorter one
-    would make every inner loop that short, so then the longest run goes
-    innermost instead. Returns (shape, index with t, index of rest, axes)."""
-    shape, with_t, rest = [], [], []
-    for bit, run in groupby(format(t, f"0{bits}b")):
-        size = 1 << len(list(run))
-        shape.append(size)
-        with_t.append(size - 1 if bit == "1" else slice(None))
-        rest.append(0 if bit == "1" else slice(None))
-    free = [size for size, i in zip(shape, rest) if isinstance(i, slice)]
-    axes = range(len(free))
-    if free and free[-1] < 8:
-        axes = sorted(axes, key=free.__getitem__)
-    return tuple(shape), tuple(with_t), tuple(rest), axes
-
-
-def _peel_scan(peels: np.ndarray, bits: int):
-    """The bounded scan for ``_odd_levels``: the packed-key minimum over
-    ``peels`` only, one np.minimum per peel over the strided views that
-    ``_peel_views`` gives, which are built once per solve."""
-    views = [_peel_views(t, bits) for t in peels.tolist()]
-
-    def scan(akey: np.ndarray, bkey: np.ndarray) -> np.ndarray:
-        key = np.full(1 << bits, _KEY_INF)
-        for a, (shape, with_t, rest, axes) in zip(akey[peels].tolist(), views):
-            out = key.reshape(shape)[with_t].transpose(axes)
-            summed = np.add(bkey.reshape(shape)[rest].transpose(axes), a, order="C")
-            np.minimum(out, summed, out=out, order="C")
-        return key
-
-    return scan
+    pairs = (kmax - 2) * int((1 << (bits - sizes)).sum())
+    split = _search(win, kmax, cap, peels, sizes, bound, pairs // (2 * SEARCH_CELL_COST), 1 << bits)
+    return ("search", split) if split is not None else ("scan", peels)
 
 
 def _walk(levels: list, shift: int) -> tuple:
@@ -440,10 +436,9 @@ def _run(w: np.ndarray, kmax: int, cap: int, full_table: bool) -> tuple:
     schedule, found = plan(win, kmax, cap, full_table)
     if schedule == "search":
         return (*found, None)
-    if schedule == "bounded":
-        scan = _peel_scan(found, n - 1)
-    else:  # one scratch per solve; a K=2 partition's only level scans nothing
-        scan = partial(_convolve, scratch=_scratch(n - 1)) if full_table or kmax > 2 else None
+    # one scratch per solve; a K=2 partition's only level scans nothing
+    scan = partial(_convolve, scratch=_scratch(n - 1), peels=found) \
+        if full_table or kmax > 2 else None
     if not full_table:
         return (*_walk(_odd_levels(win, kmax, cap, True, scan), 1), None)
     size = 1 << n

@@ -279,9 +279,9 @@ def dp_partition(w: WeightMatrix, k: int, *, max_part_size: int | None = None,
 
     Without ``keep_table`` the solve returns only the split it found, by
     the route ``dpcore.plan`` picks from counted work: at K >= 3 a pruned
-    search over the peels that can be a part of an optimal split, else the
-    bounded-peel levels or the dense scan (see ``dpcore``). Every route
-    gives the dense DP's cost and assignment. With ``keep_table`` the full
+    search over the peels that can be a part of an optimal split, else a
+    level scan over those peels or over every peel (see ``dpcore``). Every
+    route gives the dense DP's cost and assignment. With ``keep_table`` the full
     table is always solved densely, and its levels come back with the split.
     Either way the split is checked before it is returned: a part within
     the cap, and a cost equal to the assignment's recount.

@@ -678,6 +678,47 @@ def test_bench_ends_on_a_huge_k_range(sample4, tmp_path):
         assert len(lines) == rows + 1 and lines[-1] == last
 
 
+def test_bench_writes_one_row_per_run_of_refused_sizes(capsys):
+    # sizes below 1 cannot be generated and sizes above the width guard are
+    # refused: each unbroken run is one input, noted with its sizes; --force
+    # lifts the guard, so every size is generated on its own
+    cap = "qubits exceeds the exact-partitioner cap (24)"
+    code, out, _ = run_cli(capsys, "bench", "--gen", "qft:-2..0,2,24..26,30", "--parts", "1,30..40",
+                           "--no-timing")
+    assert code == 0
+    rows = [line.split(",", 7) for line in out.splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [
+        ("qft:-2", "1"), ("qft:-2", "30"), ("qft2", "1"), ("qft2", "30"), ("qft24", "1"),
+        ("qft24", "30"), ("qft:25", "1"), ("qft:25", "30"), ("qft:30", "1"), ("qft:30", "30")]
+    assert rows[0][-1] == "qft size must be >= 1 (qft:-2..0)"
+    assert rows[1][-1] == "qft size must be >= 1 (qft:-2..0) (K 30..40)"
+    assert rows[3][-1] == "cannot split 2 qubit(s) into 30 non-empty part(s) (K 30..40)"
+    assert rows[4][1:5] == ["24", "300", "1", "0"]  # the widest size the guard admits
+    assert cap in rows[6][-1] and rows[6][-1].endswith(' (qft:25..26)"')
+    assert rows[7][-1].endswith(' (qft:25..26) (K 30..40)"')
+    assert cap in rows[8][-1] and rows[8][-1].endswith('instances."')  # one size: no note
+    code, out, _ = run_cli(capsys, "bench", "--gen", "qft:25..26", "--parts", "1", "--force",
+                           "--no-timing")
+    assert code == 0
+    assert out.splitlines()[1:] == ["qft25,25,325,1,0,0.00,,", "qft26,26,351,1,0,0.00,,"]
+
+
+def test_bench_ends_on_a_huge_size_range():
+    # 10^12 sizes above the guard: one row, from a child stopped at the
+    # first row past it, so a sweep of every size fails instead of hanging
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "qcpart.cli", "bench", "--gen", "qft:25..1000000000000",
+            "--parts", "2", "--no-timing"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+        lines = list(itertools.islice(proc.stdout, 3))
+        proc.kill()
+    assert proc.wait(timeout=60) == 0
+    assert len(lines) == 2 and lines[1].startswith("qft:25,,,2,,,,")
+    assert lines[1].endswith(' (qft:25..1000000000000)"\n')
+
+
 def test_bench_no_sources(capsys):
     code, out, err = run_cli(capsys, "bench", "--parts", "1..3")
     assert code == 2

@@ -1,7 +1,9 @@
-"""The vectorized DP engine against the scalar reference loop, and the
-bounded-peel schedule and the pruned search against the dense schedule."""
+"""The vectorized DP engine against the scalar reference loop, its scan
+over a peel set against brute force, and the bounded schedule and the
+pruned search against the dense schedule."""
 
 import tracemalloc
+from collections import Counter
 from functools import partial
 from math import comb
 
@@ -30,9 +32,10 @@ def _peels(w: np.ndarray, kmax: int, cap: int) -> tuple:
 
 
 def _bounded(win: np.ndarray, peels: np.ndarray, kmax: int, cap: int) -> list:
-    """The bounded schedule's levels."""
-    scan = dpcore._peel_scan(peels, win.size.bit_length() - 2)
-    return dpcore._odd_levels(win, kmax, cap, True, scan)
+    """The bounded schedule's levels: the scan over ``peels`` only."""
+    scratch = dpcore._scratch(win.size.bit_length() - 2)
+    return dpcore._odd_levels(win, kmax, cap, True,
+                              partial(dpcore._convolve, scratch=scratch, peels=peels))
 
 
 def _searched(win: np.ndarray, bound: int, peels: np.ndarray, sizes: np.ndarray, kmax: int,
@@ -110,6 +113,76 @@ def test_engine_matches_scalar_reference():
     assert searched >= 25
 
 
+def _brute_scan(akey: np.ndarray, bkey: np.ndarray, peels: np.ndarray) -> np.ndarray:
+    """min over t in peels, t <= x, of akey[t] + bkey[x ^ t], for every x."""
+    x = np.arange(akey.size)
+    want = np.full(akey.size, dpcore._KEY_INF)
+    for t in peels.tolist():
+        above = x[(x & t) == t]
+        want[above] = np.minimum(want[above], akey[t] + bkey[above ^ t])
+    return want
+
+
+def test_scan_over_a_peel_set_matches_brute_force(monkeypatch):
+    # 300 seeded cases at 1-12 bits, each with its own low/high bit split
+    # and a random peel subset: sparse ones leave blocks with no peel and
+    # unions with no pair, dense ones leave blocks short of one low peel and
+    # block 0 complete but for the empty peel, which is never a peel
+    rng = np.random.default_rng(2525)
+    seen = Counter()
+    for case in range(300):
+        bits = int(rng.integers(1, 13))
+        low = int(rng.integers(max(1, bits - 6), bits + 1))  # at most 3^6 block pairs
+        monkeypatch.setattr(dpcore, "LOW_BITS", low)
+        akey, bkey = rng.integers(-40, 40, size=(2, 1 << bits)) << bits
+        akey[rng.random(1 << bits) < 0.2] = dpcore._KEY_INF
+        bkey[rng.random(1 << bits) < 0.2] = dpcore._KEY_INF
+        akey[0] = dpcore._KEY_INF
+        keep = rng.random(1 << bits) < rng.choice([0.05, 0.3, 0.9, 0.99, 1])
+        keep[0] = False
+        peels = np.flatnonzero(keep)
+        got = dpcore._convolve(akey, bkey, dpcore._scratch(bits), peels)
+        want = _brute_scan(akey, bkey, peels)
+        reach = want < dpcore._KEY_REACH
+        assert np.array_equal(got < dpcore._KEY_REACH, reach), (case, bits, low)
+        assert np.array_equal(got[reach], want[reach]), (case, bits, low)
+        for th, held in enumerate(keep.reshape(-1, 1 << low)):
+            lows = np.flatnonzero(held)
+            short = (1 << low) - (th == 0) - lows.size  # low peels missing
+            seen["no peel" if not lows.size else "complete" if not short else
+                 "one short" if short == 1 else "partial"] += 1
+            if th == 0 and not short:
+                seen["block 0 complete"] += 1
+            if lows.size:
+                paired = ((np.arange(1 << low)[:, None] & lows) == lows).any(axis=1)
+                seen["union with no pair"] += int((~paired).sum())
+    assert min(seen.values()) >= 20, seen
+    assert len(seen) == 6, seen
+
+
+def test_scan_tables_follow_the_low_peels(monkeypatch):
+    # 5 bits, 2 low: 8 blocks of 4 low masks. A complete low set takes the
+    # whole table (block 0 needs no empty peel, so block 6's equal set is
+    # incomplete), a block without peels is skipped, and equal incomplete
+    # low sets share one table
+    monkeypatch.setattr(dpcore, "LOW_BITS", 2)
+    peels = np.array([1, 2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 22, 25, 26, 27])
+    shared = {}
+    blocks = dict(dpcore._blocks(5, peels, shared))
+    assert list(blocks) == [0, 1, 2, 4, 5, 6]
+    whole = dpcore._pair_table(2)
+    for th in (0, 2):
+        assert blocks[th][3].size == 0 and all(a is b for a, b in zip(blocks[th], whole))
+    assert blocks[1] is blocks[4] and list(shared.values()) == [blocks[1], blocks[6]]
+    assert blocks[6][3].tolist() == [0]  # no pair of union 0 peels a low peel
+    # block 5 holds low peel 2 alone: pairs (2, 0) and (2, 1), of unions 2
+    # and 3; unions 0 and 1 have no pair
+    tl, ul, starts, empty = blocks[5]
+    assert [tl.tolist(), ul.tolist(), starts.tolist(), empty.tolist()] == \
+        [[2, 2], [0, 1], [0, 0, 0, 1], [0, 1]]
+    assert tl.dtype == ul.dtype == np.intp
+
+
 def test_bounded_schedule_matches_dense_seeded():
     # 1 000 seeded cases: tight, loose and no part caps; the sparse circuits
     # leave many qubits idle and many weights equal, so splits tie on cost.
@@ -135,20 +208,17 @@ def test_bounded_schedule_matches_dense_seeded():
 def test_bounded_scan_matches_dense_at_every_state():
     # over every peel of 1..cap qubits the bounded scan skips nothing, so it
     # gives the dense levels at every odd mask below level K and at the full
-    # mask at level K. cap <= n-2 keeps out the all-ones peel, which no
-    # admissible set holds (a peel has at most n-K+1 qubits) and whose
-    # strided view would be a 0-d scalar.
+    # mask at level K; cap n-1 admits the all-ones peel too
     rng = np.random.default_rng(1314)
     for case in range(400):
         n = int(rng.integers(3, 14 if case % 10 == 0 else 11))
         kmax = min(int(rng.integers(3, 6)), n)
         w = _random_w(rng, n, int(rng.integers(0, 3 * n + 1)))
-        tight = min(-(-n // kmax), n - 2)
-        cap = (tight, int(rng.integers(tight, n - 1)))[case % 2]
+        tight = -(-n // kmax)
+        cap = (tight, int(rng.integers(tight, n)))[case % 2]
         win = dpcore._internal_weights(w)
         sizes = dpcore._popcounts(n - 1)
-        scan = dpcore._peel_scan(np.flatnonzero((sizes >= 1) & (sizes <= cap)), n - 1)
-        bounded = dpcore._odd_levels(win, kmax, cap, True, scan)
+        bounded = _bounded(win, np.flatnonzero((sizes >= 1) & (sizes <= cap)), kmax, cap)
         for k, (got, want) in enumerate(zip(bounded, _dense(w, kmax, cap)), start=2):
             states = slice(None) if k < kmax else slice(-1, None)
             for a, b in zip(got, want):
@@ -188,20 +258,38 @@ def _job(seed: int, n: int, gates: int) -> np.ndarray:
 def test_plan_routes_schedules(monkeypatch):
     rng = np.random.default_rng(0)
     wide = dpcore._internal_weights(_random_w(rng, 16, 320))
+    budgets, found = [], []
+    search = dpcore._search
+
+    def spy(*args):
+        budgets.append(args[-2])
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(dpcore, "_search", spy)
     # a dense random circuit: the optimum peels lone qubits, so few peels are
     # admissible and the search examines few cells
     assert dpcore.plan(wide, 4, 16, False)[0] == "search"
     qft = dpcore._internal_weights(weight_matrix(qc_to_bigraph(gen_qft(14))).m)
     assert dpcore.plan(qft, 3, 14, False)[0] == "search"
-    assert dpcore.plan(wide, 4, 16, True) == ("dense", None)  # full tables stay dense
-    assert dpcore.plan(wide, 2, 16, False) == ("dense", None)  # K=2 stays dense
-    # a tight cap admits too many peels for the search's budget and for the
-    # bounded schedule: the counted work sends it to dense
-    assert dpcore.plan(wide, 4, 4, False) == ("dense", None)
-    # with the search out of budget, the bounded schedule still takes the wide case
+    # the search may examine cells worth half the scan's pair-ops,
+    # (K-2) * the sum over admissible peels t of 2^(n-1-|t|)
+    for (win, kmax), budget in zip(((wide, 4), (qft, 3)), budgets):
+        _, sizes = dpcore._admissible_peels(win, kmax, 16, dpcore._upper_bound(win, kmax, 16))
+        assert budget == (kmax - 2) * int((1 << (win.size.bit_length() - 2 - sizes)).sum()) \
+            // (2 * dpcore.SEARCH_CELL_COST)
+    assert dpcore.plan(wide, 4, 16, True) == ("scan", None)  # full tables scan every peel
+    assert dpcore.plan(wide, 2, 16, False) == ("scan", None)  # and so does K=2
+    # a tight cap admits too many peels for the search's budget: the scan
+    # takes the admissible peels
+    schedule, peels = dpcore.plan(wide, 4, 4, False)
+    bound = dpcore._upper_bound(wide, 4, 4)
+    assert found[-1] is None and schedule == "scan"
+    assert np.array_equal(peels, dpcore._admissible_peels(wide, 4, 4, bound)[0])
+    # with the search out of budget, the scan still takes few of the wide case's peels
     monkeypatch.setattr(dpcore, "_search", lambda *args: None)
     schedule, peels = dpcore.plan(wide, 4, 16, False)
-    assert schedule == "bounded" and 0 < peels.size < (1 << 15) // 100
+    assert schedule == "scan" and 0 < peels.size < (1 << 15) // 100
     monkeypatch.undo()
 
     def no_bound(*args):
@@ -210,7 +298,7 @@ def test_plan_routes_schedules(monkeypatch):
     monkeypatch.setattr(dpcore, "_upper_bound", no_bound)
     small = dpcore._internal_weights(_random_w(rng, 10, 200))
     assert (3 - 2) * 3 ** 9 < dpcore.BOUND_FLOOR
-    assert dpcore.plan(small, 3, 10, False) == ("dense", None)
+    assert dpcore.plan(small, 3, 10, False) == ("scan", None)
 
 
 def test_capped_bound_routes_the_search():
@@ -258,7 +346,7 @@ def test_search_memory_guard(monkeypatch, case):
         monkeypatch.setattr(dpcore, "_upper_bound", lambda *args: 23)
     win = dpcore._internal_weights(w)
     schedule, searched, peak = _plan_peak(monkeypatch, win, 4, cap)
-    assert searched == [None] and schedule == "dense"
+    assert searched == [None] and schedule == "scan"
     assert peak < 32 * (1 << 15) * 8  # 32 arrays of 2^(n-1) int64
     assert dp_partition(WeightMatrix(w), 4, max_part_size=cap).cost == (0 if cap == 16 else 3)
 
@@ -331,15 +419,16 @@ def test_solve_returns_plain_ints_on_every_route(monkeypatch):
     assert dpcore.plan(dpcore._internal_weights(wide), 4, 16, False)[0] == "search"
     check("search", wide, 4)
     check("full table", small, 3, True)
-    assert dpcore.plan(dpcore._internal_weights(small), 3, 10, False) == ("dense", None)
-    check("dense", small, 3)
+    assert dpcore.plan(dpcore._internal_weights(small), 3, 10, False) == ("scan", None)
+    check("scan of every peel", small, 3)
     check("K=1", small, 1)
     assert routes["K=1"] == (0, [])
     monkeypatch.setattr(dpcore, "_search", lambda *args: None)
-    assert dpcore.plan(dpcore._internal_weights(wide), 4, 16, False)[0] == "bounded"
-    check("bounded", wide, 4)
-    assert routes["search"] == routes["bounded"]
-    assert routes["dense"] == routes["full table"]
+    schedule, peels = dpcore.plan(dpcore._internal_weights(wide), 4, 16, False)
+    assert schedule == "scan" and peels is not None
+    check("scan of admissible peels", wide, 4)
+    assert routes["search"] == routes["scan of admissible peels"]
+    assert routes["scan of every peel"] == routes["full table"]
 
 
 def test_partition_top_level_keeps_one_entry():

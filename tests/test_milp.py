@@ -1,6 +1,6 @@
 """``dp_partition`` against an integer program solved by HiGHS, at 13-16
 qubits: too wide for the brute-force oracle, and wide enough for the DP's
-pruned search and its bounded-peel fallback to run."""
+pruned search and its fallback, the scan over admissible peels, to run."""
 
 import numpy as np
 import pytest
@@ -48,27 +48,30 @@ def milp_cost(w: np.ndarray, k: int, cap: int) -> int:
     return round(res.fun)
 
 
-# (seed, qubits, gates, K, max_part_size, the schedule dpcore.plan falls
-# back to when the search gives up); the search gives up on the two cases
-# that fall back dense. Sparse circuits keep the integer program small
+# (seed, qubits, gates, K, max_part_size, the schedule the solve runs: the
+# search, or the bounded schedule, the scan over the admissible peels, when
+# the search gives up). Sparse circuits keep the integer program small
 # enough to solve quickly
 CASES = [
-    (1, 13, 26, 3, None, "bounded"),
-    (12, 14, 28, 3, None, "bounded"),
-    (2, 14, 42, 3, 5, "dense"),
-    (3, 15, 30, 3, 8, "dense"),
-    (5, 16, 32, 4, None, "bounded"),
+    (1, 13, 26, 3, None, "search"),
+    (12, 14, 28, 3, None, "search"),
+    (2, 14, 42, 3, 5, "bounded"),
+    (3, 15, 30, 3, 8, "bounded"),
+    (5, 16, 32, 4, None, "search"),
     (5, 16, 32, 4, 6, "bounded"),
 ]
 
 
 @pytest.mark.parametrize("seed, n, gates, k, cap, schedule", CASES)
 def test_dp_matches_milp(monkeypatch, seed, n, gates, k, cap, schedule):
+    # every case runs twice: by its plan, and with the search out of budget,
+    # by the bounded schedule
     w = weight_matrix(qc_to_bigraph(build_random_circuit(np.random.default_rng(seed), n, gates)))
     win = dpcore._internal_weights(w.m)
-    assert dpcore.plan(win, k, cap or n, False)[0] == ("dense" if schedule == "dense" else "search")
+    assert dpcore.plan(win, k, cap or n, False)[0] == ("search" if schedule == "search" else "scan")
     cost = milp_cost(w.m, k, cap or n)
     assert dp_partition(w, k, max_part_size=cap).cost == cost
     monkeypatch.setattr(dpcore, "_search", lambda *args: None)
-    assert dpcore.plan(win, k, cap or n, False)[0] == schedule
+    schedule, peels = dpcore.plan(win, k, cap or n, False)
+    assert schedule == "scan" and peels is not None
     assert dp_partition(w, k, max_part_size=cap).cost == cost
