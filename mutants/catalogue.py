@@ -306,13 +306,107 @@ MUTANTS = [
         ],
     },
     {
+        "id": "qc-comments-never-cut",
+        "file": CIRCUIT,
+        "old": "    if \"#\" in text:  # blank each line's first '#' and the rest of its line\n",
+        "new": "    if False:\n",
+        "tests": [
+            "tests/test_circuit.py::test_parse_accepts_comments_blank_lines_and_crlf",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "qc-control-0-unmarked",
+        "file": CIRCUIT,
+        "old": "ends[(arity < 1) | (arity > 2) | (lead < 1) | two & (second < 1)] = -2",
+        "new": "ends[(arity < 1) | (arity > 2) | two & (second < 1)] = -2",
+        "tests": [
+            # "cnot 0 3" would pass for a single-qubit gate on q3
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "qc-operandless-line-unmarked",
+        "file": CIRCUIT,
+        "old": "ends[(arity < 1) | (arity > 2) | (lead < 1) | two & (second < 1)] = -2",
+        "new": "ends[(arity > 2) | (lead < 1) | two & (second < 1)] = -2",
+        "tests": [
+            # "cnot" then "h 1" would read the next line's operand
+            "tests/test_columns.py::test_parse_matches_reference",
+        ],
+    },
+    {
+        "id": "qc-repeated-header-message-off",
+        "file": CIRCUIT,
+        "old": "    if label.lower() == \"qubits\":\n        return \"duplicate 'qubits' header\"\n",
+        "new": "",
+        "tests": [
+            "tests/test_circuit.py::test_parse_duplicate_header",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "qc-gate-index-off-by-one",
+        "file": CIRCUIT,
+        "old": "            exc.gate = i\n",
+        "new": "            exc.gate = i + 1\n",
+        "tests": [
+            "tests/test_circuit.py::test_parse_self_loop_rejected",
+            "tests/test_columns.py::test_column_checks",
+            "tests/test_columns.py::test_a_bad_line_is_explained_once",
+        ],
+    },
+    # --- the one gate checker (circuit) -----------------------------------------
+    {
         "id": "qc-reports-last-bad-line",
         "file": CIRCUIT,
-        "old": "        i = int(np.argmax(bad))\n        tokens, lineno = row(i + 1)\n",
-        "new": "        i = int(bad.size - 1 - np.argmax(bad[::-1]))\n        tokens, lineno = row(i + 1)\n",
+        "old": "            i = int(np.argmax(bad))\n",
+        "new": "            i = int(bad.size - 1 - np.argmax(bad[::-1]))\n",
         "tests": [
             "tests/test_columns.py::test_parse_edge_cases_match_reference",
             "tests/test_columns.py::test_parse_matches_reference",
+            "tests/test_columns.py::test_column_checks",
+        ],
+    },
+    {
+        "id": "circuit-target-range-off-by-one",
+        "file": CIRCUIT,
+        "old": "bad_t = (t < 0) | (t >= width)",
+        "new": "bad_t = (t < 0) | (t > width)",
+        "tests": [
+            "tests/test_circuit.py::test_parse_out_of_range_index",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "circuit-label-pass-skipped",
+        "file": CIRCUIT,
+        "old": "        if not fine:  # flag the gates whose label is refused\n",
+        "new": "        if False:\n",
+        "tests": [
+            "tests/test_circuit.py::test_circuit_rejects_labels_that_break_the_text",
+            "tests/test_circuit.py::test_circuit_rejects_the_header_word",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "circuit-labels-after-rows",
+        "file": CIRCUIT,
+        "old": "        if not fine:  # flag the gates whose label is refused\n",
+        "new": "        if not fine and not bad.any():\n",
+        "tests": [
+            "tests/test_columns.py::test_column_checks",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "circuit-header-word-accepted",
+        "file": CIRCUIT,
+        "old": "    return \"is reserved for the header\" if label.lower() == \"qubits\" else \"\"\n",
+        "new": "    return \"\"\n",
+        "tests": [
+            "tests/test_circuit.py::test_circuit_rejects_the_header_word",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
         ],
     },
     # --- circuit and graph records (circuit, bigraph) ---------------------------
@@ -325,6 +419,25 @@ MUTANTS = [
         "tests": [
             "tests/test_columns.py::test_every_constructor_gives_one_circuit",
             "tests/test_columns.py::test_replace_keeps_the_columns_and_rechecks_them",
+        ],
+    },
+    {
+        "id": "graph-equality-ignores-width",
+        "file": BIGRAPH,
+        "old": "        return self.num_qubits == other.num_qubits and np.array_equal(",
+        "new": "        return np.array_equal(",
+        "tests": [
+            "tests/test_bigraph.py::test_graph_equality_is_width_and_ends",
+        ],
+    },
+    {
+        "id": "graph-pairs-drop-control-0",
+        "file": BIGRAPH,
+        "old": "        return self.ends[self.ends[:, 0] >= 0]\n",
+        "new": "        return self.ends[self.ends[:, 0] > 0]\n",
+        "tests": [
+            "tests/test_bigraph.py::test_graph_matches_edge_tuple_reference",
+            "tests/test_bigraph.py::test_weight_matrix_four_qubit_sample",
         ],
     },
     {
@@ -342,11 +455,11 @@ MUTANTS = [
     {
         "id": "packed-key-prefers-highest-tie",
         "file": DPCORE,
-        "old": "    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits) + np.arange(size),"
+        "old": "    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits) + masks,"
                " _KEY_INF)\n" + ODD_LEVELS_BODY +
                "        levels.append((cost, np.where(reach, (key & (size - 1)) << 1, 0)))\n",
         "new": "    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits)"
-               " + np.arange(size)[::-1], _KEY_INF)\n" + ODD_LEVELS_BODY +
+               " + masks[::-1], _KEY_INF)\n" + ODD_LEVELS_BODY +
                "        levels.append((cost, np.where(reach, (size - 1 - (key & (size - 1))) << 1,"
                " 0)))\n",
         "tests": [
@@ -488,6 +601,16 @@ MUTANTS = [
         ],
     },
     {
+        "id": "admissible-sizes-left-uint8",
+        "file": DPCORE,
+        "old": "    return peels[keep], sizes[keep].astype(np.int64)",
+        "new": "    return peels[keep], sizes[keep]",
+        "tests": [
+            # plan's 1 << (bits - sizes) wraps in uint8, so the search budget shrinks
+            "tests/test_dpcore.py::test_plan_routes_schedules",
+        ],
+    },
+    {
         "id": "level-one-cap-inclusive",
         "file": DPCORE,
         "old": "cost = np.where(pc < cap, 0, INF)",
@@ -613,6 +736,25 @@ MUTANTS = [
         "tests": [
             "tests/test_executor.py::test_trace_rows_match_reference",
             "tests/test_executor.py::test_nine_gate_sample_trace",
+        ],
+    },
+    {
+        "id": "trace-global-parts-unsorted",
+        "file": EXECUTOR,
+        "old": "(a, b) if a < b else (b, a)",
+        "new": "(a, b)",
+        "tests": [
+            "tests/test_executor.py::test_trace_rows_match_reference",
+            "tests/test_columns.py::test_trace_matches_reference",
+        ],
+    },
+    {
+        "id": "report-field-indent-one-space",
+        "file": CLI,
+        "old": "body = json.dumps(value, indent=2).replace(\"\\n\", \"\\n  \")",
+        "new": "body = json.dumps(value, indent=2).replace(\"\\n\", \"\\n \")",
+        "tests": [
+            "tests/test_cli.py::test_report_bytes_pinned",
         ],
     },
     {

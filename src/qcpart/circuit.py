@@ -14,9 +14,10 @@ The canonical text format (``.qc``) is line-oriented:
 
 Tokens are separated by ``str.split`` whitespace and lines end at
 ``str.splitlines`` breaks, so ``\\r\\n`` ends one line. Blank lines are ignored,
-and a ``#`` comment runs to the end of its line. The parser tokenizes the whole
-text in one pass. Labels are opaque: only the number of operands matters
-downstream, so unknown labels are accepted.
+and a ``#`` comment runs to the end of its line. Labels are opaque: only the
+number of operands matters downstream, so unknown labels are accepted.
+``Circuit`` holds every rule on a gate's row and label; the parser, one pass
+over the text, holds only the rules that text alone can break.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class Circuit:
     decomposed_mct: bool = False
 
     def __post_init__(self):
-        """Check and store the columns; the first bad gate is reported, its
-        control before its target."""
+        """Check and store the columns: the one check of every gate's row and
+        label. The first bad gate in gate order is refused, for its control,
+        its target, control = target, then its label, by a ValueError whose
+        ``gate`` is that gate's 0-based index."""
         try:
             width = index(self.width)
         except TypeError:
@@ -75,22 +78,21 @@ class Circuit:
         bad_c = (c < -1) | (c >= width)  # -1 marks a single-qubit gate
         bad_t = (t < 0) | (t >= width)
         bad = bad_c | bad_t | (c == t)
+        try:  # each distinct label is checked once
+            fine = not any(map(_label_fault, set(labels)))
+        except TypeError:  # an unhashable label is no str
+            fine = False
+        if not fine:  # flag the gates whose label is refused
+            bad |= np.fromiter(map(_label_fault, labels), bool, count=len(labels))
         if bad.any():
             i = int(np.argmax(bad))
-            if bad_c[i] or bad_t[i]:
-                q = c[i] if bad_c[i] else t[i]
-                raise ValueError(f"gate g{i + 1} touches q{q + 1}, outside width {width}")
-            raise ValueError(f"gate g{i + 1}: control equals target")
-        try:  # each distinct label is checked once
-            distinct = dict.fromkeys(labels)
-        except TypeError:  # an unhashable label is no str: find the first bad one
-            distinct = {None: None}
-        if not all(map(_one_word, distinct)):
-            i, label = next((i, s) for i, s in enumerate(labels) if not _one_word(s))
-            raise ValueError(f"gate g{i + 1}: label {label!r} is not one word without '#'")
-        if any(s.lower() == "qubits" for s in distinct):  # the .qc header word, in any case
-            i = next(i for i, s in enumerate(labels) if s.lower() == "qubits")
-            raise ValueError(f"gate g{i + 1}: label {labels[i]!r} is reserved for the header")
+            q = c[i] if bad_c[i] else t[i]
+            why = (f" touches q{q + 1}, outside width {width}" if bad_c[i] or bad_t[i]
+                   else ": control equals target" if c[i] == t[i]
+                   else f": label {labels[i]!r} {_label_fault(labels[i])}")
+            exc = ValueError(f"gate g{i + 1}{why}")
+            exc.gate = i
+            raise exc
         ends.setflags(write=False)
         for key, value in (("width", width), ("labels", labels), ("ends", ends)):
             object.__setattr__(self, key, value)
@@ -113,9 +115,11 @@ class Circuit:
         return int(np.count_nonzero(self.ends[:, 0] >= 0))
 
 
-def _one_word(label) -> bool:
-    """Whether ``label`` is a str that ``.qc`` text keeps as one token."""
-    return isinstance(label, str) and "#" not in label and label.split() == [label]
+def _label_fault(label) -> str:
+    """Why ``label`` cannot label a gate in ``.qc`` text, or '' if it can."""
+    if not (isinstance(label, str) and "#" not in label and label.split() == [label]):
+        return "is not one word without '#'"
+    return "is reserved for the header" if label.lower() == "qubits" else ""
 
 
 def _header_width(tokens: list[str], lineno: int) -> int:
@@ -197,13 +201,13 @@ def parse_circuit(text: str, name: str = "circuit") -> Circuit:
     Tokens are split on ``str.split`` whitespace, lines end at
     ``str.splitlines`` breaks (``\\r\\n`` is one break), and a ``#`` comment
     runs to the end of its line. The whole text is tokenized in one pass over
-    its code points and the gate lines are checked together over arrays,
-    with no Python loop over lines or gates; operands are read as ``int()``
-    reads them. Raises CircuitSyntaxError with a 1-based line number on
-    malformed input, an out-of-range qubit index, a missing ``qubits``
-    header, or a two-qubit gate whose control equals its target; when
-    several lines are bad, the first one in line order is reported, for the
-    first check it fails.
+    its code points, with no Python loop over lines or gates; operands are
+    read as ``int()`` reads them. It checks the header itself and sets a row
+    to (-2, -2) where a line has not 1 or 2 operands or one is no integer
+    >= 1 (a control of 0 would pass for a single-qubit gate's -1). ``Circuit``
+    checks the rest once; the line of the first gate it refuses is explained.
+    Raises CircuitSyntaxError with a 1-based line number for the first bad
+    line, at the first check it fails.
     """
     codes, space, breaks = _code_points(text)
     if "#" in text:  # blank each line's first '#' and the rest of its line
@@ -258,17 +262,13 @@ def parse_circuit(text: str, name: str = "circuit") -> Circuit:
     start = np.cumsum(arity) - arity  # each line's first operand in q
     lead, second = q[start], q[start + 1]
     two = arity == 2
-    bad = ((arity < 1) | (arity > 2) | (lead < 1) | (lead > width)
-           | two & ((second < 1) | (second > width) | (lead == second)))
-    headers = {label for label in set(labels) if label.lower() == "qubits"}
-    if headers:
-        bad |= np.fromiter((label in headers for label in labels), bool, count=len(labels))
-    if bad.any():
-        i = int(np.argmax(bad))
-        tokens, lineno = row(i + 1)
-        raise CircuitSyntaxError(_gate_line_error(tokens, width), lineno)
     ends = np.stack([np.where(two, lead, 0), np.where(two, second, lead)], axis=1) - 1
-    return Circuit(width, labels, ends, name)
+    ends[(arity < 1) | (arity > 2) | (lead < 1) | two & (second < 1)] = -2  # Circuit refuses
+    try:
+        return Circuit(width, labels, ends, name)
+    except ValueError as exc:  # explain the refused gate's line
+        tokens, lineno = row(exc.gate + 1)
+        raise CircuitSyntaxError(_gate_line_error(tokens, width), lineno) from None
 
 
 def render_circuit(circuit: Circuit) -> str:

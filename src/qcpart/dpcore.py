@@ -137,13 +137,6 @@ def _internal_weights(w: np.ndarray) -> np.ndarray:
     return win
 
 
-def _popcounts(bits: int) -> np.ndarray:
-    pc = np.zeros(1 << bits, dtype=np.int64)
-    for b in range(bits):
-        np.add(pc[:1 << b], 1, out=pc[1 << b:2 << b])
-    return pc
-
-
 @lru_cache(maxsize=None)
 def _pair_table(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3^bits disjoint pairs (t, u) over ``bits`` bits, sorted by union
@@ -241,8 +234,9 @@ def _odd_levels(win: np.ndarray, kmax: int, cap: int, last_full_only: bool, scan
     bits = win.size.bit_length() - 2
     size = 1 << bits
     wodd = win[1::2]
-    pc = _popcounts(bits)
-    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits) + np.arange(size), _KEY_INF)
+    masks = np.arange(size)
+    pc = np.bitwise_count(masks)
+    akey = np.where((pc >= 1) & (pc <= cap), (-win[0::2] << bits) + masks, _KEY_INF)
     cost = np.where(pc < cap, 0, INF)  # level 1: the mask x plus qubit 0 fits the cap
     levels = []
     for k in range(2, kmax + 1):
@@ -311,9 +305,9 @@ def _admissible_peels(win: np.ndarray, kmax: int, cap: int, bound: int) -> tuple
     n-kmax+1) qubits."""
     bits = win.size.bit_length() - 2
     peels = np.flatnonzero(win[0::2] + win[-1::-2] >= win[-1] - bound)
-    sizes = _popcounts(bits)[peels]
+    sizes = np.bitwise_count(peels)
     keep = (sizes >= 1) & (sizes <= min(cap, bits + 2 - kmax))
-    return peels[keep], sizes[keep]
+    return peels[keep], sizes[keep].astype(np.int64)  # a uint8 count wraps in plan's shift
 
 
 def _search(win: np.ndarray, kmax: int, cap: int, peels: np.ndarray, sizes: np.ndarray,
@@ -468,5 +462,5 @@ def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> tu
     cost, peels, levels = _run(w, kmax, cap, full_table) if kmax >= 2 else (0, [], [])
     if not full_table:
         return cost, peels, None
-    one = np.where(_popcounts(w.shape[0]) <= cap, 0, INF)
+    one = np.where(np.bitwise_count(np.arange(1 << w.shape[0])) <= cap, 0, INF)
     return cost, peels, [(one, np.zeros_like(one)), *levels]

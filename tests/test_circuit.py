@@ -85,7 +85,8 @@ def test_circuit_invariants():
         Circuit(width=1, labels=["cnot"], ends=[(0, 1)])  # out of width
 
 
-@pytest.mark.parametrize("label", ["#x", "a#", "a b", "", " h", "h\n", " ", "\x1f", 1, None])
+@pytest.mark.parametrize("label", ["#x", "a#", "a b", "", " h", "h\n", " ", "\x1f", 1, None,
+                                   ["h"]])
 def test_circuit_rejects_labels_that_break_the_text(label):
     # each would drop a gate on round trip, fail the parse or break the trace
     with pytest.raises(ValueError, match=r"^gate g2: label .* is not one word without '#'$"):

@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from qcpart import (
     Circuit,
+    CircuitSyntaxError,
     PartitionAssignment,
     gen_qft,
     parse_circuit,
     render_circuit,
     trace_execution,
 )
-from qcpart.circuit import LINE_BREAKS, WHITESPACE, _code_points
+from qcpart import circuit
+from qcpart.circuit import LINE_BREAKS, WHITESPACE, _code_points, _gate_line_error
 from conftest import build_random_circuit
 from parse_reference import reference_parse, reference_trace
 
@@ -127,9 +129,27 @@ def test_code_point_classes_match_str(text):
     "qubits 3\ncnot 000000000000000003 1\nh 0000000000000000002",
     "qubits 3\nh 9223372036854775808", "qubits 3\nh 9223372036854775807\r\n",
     "qubits 2\x85h 1#c\u2028h\xa02\x1f#\u3000x\r\nh\u30001\x1c\x1dh 3",
+    # Circuit refuses the first bad gate, row or label: both name line 2
+    "qubits 3\nqubits 1\ncnot 1 9\n", "qubits 3\ncnot 1 9\nqubits 1\n",
+    "qubits 3\ncnot 0 3",  # a control of 0 must not pass for a single-qubit gate's -1
 ])
 def test_parse_edge_cases_match_reference(text):
     assert outcome(parse_circuit, text) == outcome(reference_parse, text)
+
+
+def test_a_bad_line_is_explained_once(monkeypatch):
+    # the gates are checked over whole columns; only the refused gate's line is read again
+    calls = []
+
+    def counted(tokens, width):
+        calls.append(tokens)
+        return _gate_line_error(tokens, width)
+
+    monkeypatch.setattr(circuit, "_gate_line_error", counted)
+    text = "qubits 3\n" + "cnot 1 2\nh 3\n" * 49_999 + "h 4\ncnot 2 1\n"  # 100 000 gates
+    with pytest.raises(CircuitSyntaxError, match="qubit index 4 outside") as exc:
+        parse_circuit(text)
+    assert exc.value.line == 100_000 and calls == [["h", "4"]]
 
 
 def test_parsed_columns():
@@ -185,6 +205,13 @@ def test_column_checks():
         Circuit(3, ["cnot"], [(1, 1)])
     with pytest.raises(ValueError, match="gate g1 touches q4"):  # control before target
         Circuit(2, ["cnot"], [(3, 5)])
+    # the first bad gate is refused, whether its row or its label is bad
+    with pytest.raises(ValueError, match=r"^gate g2: label 'Qubits' is reserved") as exc:
+        Circuit(3, ["h", "Qubits", "cnot"], [(-1, 0), (-1, 1), (0, 5)])
+    assert exc.value.gate == 1
+    with pytest.raises(ValueError, match="^gate g2 touches q6, outside width 3$") as exc:
+        Circuit(3, ["h", "cnot", "qubits"], [(-1, 0), (0, 5), (-1, 1)])
+    assert exc.value.gate == 1
     # the int64 copy of the columns must not truncate a fraction
     with pytest.raises(ValueError, match="qubit indices must be integers"):
         Circuit(3, ["cnot"], [(0.5, 1.9)])
