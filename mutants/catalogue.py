@@ -155,6 +155,16 @@ MUTANTS = [
             "tests/test_cli.py::test_bench_ends_on_a_huge_size_range",
         ],
     },
+    # --- the one thread (cli) ---------------------------------------------------
+    {
+        "id": "threads-accepts-two",
+        "file": CLI,
+        "old": "choices=[1]",
+        "new": "choices=[1, 2]",
+        "tests": [
+            "tests/test_cli.py::test_threads_validated_and_reported",
+        ],
+    },
     # --- .real importer (circuit) -----------------------------------------------
     {
         "id": "real-t2-skips-control-target-check",
@@ -213,6 +223,37 @@ MUTANTS = [
         "new": "LINE_BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x85,",
         "tests": [
             "tests/test_columns.py::test_character_classes_match_str",
+            "tests/test_columns.py::test_code_point_classes_match_str",
+        ],
+    },
+    {
+        "id": "qc-x85-not-whitespace",
+        "file": CIRCUIT,
+        "old": "0x20, 0x85, 0xA0,",
+        "new": "0x20, 0xA0,",
+        "tests": [
+            # 0x85 still breaks lines, so the tokenizer reads it as before
+            "tests/test_columns.py::test_character_classes_match_str",
+        ],
+    },
+    {
+        "id": "qc-u3000-not-whitespace",
+        "file": CIRCUIT,
+        "old": "0x205F, 0x3000)",
+        "new": "0x205F)",
+        "tests": [
+            "tests/test_columns.py::test_character_classes_match_str",
+            "tests/test_columns.py::test_code_point_classes_match_str",
+            "tests/test_columns.py::test_parse_edge_cases_match_reference",
+        ],
+    },
+    {
+        "id": "qc-class-table-clipped-at-u3000",
+        "file": CIRCUIT,
+        "old": "_CLASS = np.zeros(max(WHITESPACE) + 2, np.uint8)",
+        "new": "_CLASS = np.zeros(max(WHITESPACE) + 1, np.uint8)",
+        "tests": [
+            # every code point past U+3000 then reads as U+3000, whitespace
             "tests/test_columns.py::test_code_point_classes_match_str",
         ],
     },
@@ -500,6 +541,37 @@ MUTANTS = [
             "tests/test_dpcore.py::test_bounded_schedule_matches_dense_seeded",
         ],
     },
+    {
+        "id": "table-scatter-column-shifted",
+        "file": DPCORE,
+        "old": "            cf[sl] = c\n",
+        "new": "            cf[sl] = np.roll(c, 1)\n",
+        "tests": [
+            "tests/test_dpcore.py::test_engine_matches_scalar_reference",
+            "tests/test_partitioner.py::test_table_level_two_golden_row",
+            "tests/test_acceptance.py::test_criterion_03_memo_table_golden_rows",
+        ],
+    },
+    {
+        "id": "table-level-one-peels-qubit-0",
+        "file": DPCORE,
+        "old": "np.broadcast_to(np.int64(0), one.shape)",
+        "new": "np.broadcast_to(np.int64(1), one.shape)",
+        "tests": [
+            "tests/test_partitioner.py::test_table_choice_backpointers",
+            "tests/test_partitioner.py::test_table_reads_match_the_level_arrays",
+            "tests/test_partitioner.py::test_table_holds_no_level_one_backpointers",
+        ],
+    },
+    {
+        "id": "table-level-one-backpointers-stored",
+        "file": DPCORE,
+        "old": "np.broadcast_to(np.int64(0), one.shape)",
+        "new": "np.zeros_like(one)",
+        "tests": [
+            "tests/test_partitioner.py::test_table_holds_no_level_one_backpointers",
+        ],
+    },
     # --- the scan over a peel set (dpcore) --------------------------------------
     {
         "id": "scan-whole-table-for-incomplete-low-set",
@@ -695,6 +767,15 @@ MUTANTS = [
     },
     # --- the result and its table (partitioner) ----------------------------------
     {
+        "id": "partition-cap-one-short",
+        "file": PARTITIONER,
+        "old": "else min(max_part_size, n)",
+        "new": "else min(max_part_size - 1, n)",
+        "tests": [
+            "tests/test_partitioner.py::test_capped_respects_bound_on_randoms",
+        ],
+    },
+    {
         "id": "ratio-over-part-count",
         "file": PARTITIONER,
         "old": "Fraction(self.cost, 2 * self.assignment.n)",
@@ -729,10 +810,10 @@ MUTANTS = [
         ],
     },
     {
-        "id": "trace-rows-count-teleports-exclusively",
+        "id": "trace-records-count-teleports-exclusively",
         "file": EXECUTOR,
-        "old": "teleports = np.cumsum(self.is_global).tolist()",
-        "new": "teleports = (np.cumsum(self.is_global) - self.is_global).tolist()",
+        "old": "teleports = np.cumsum(trace.is_global).tolist()",
+        "new": "teleports = (np.cumsum(trace.is_global) - trace.is_global).tolist()",
         "tests": [
             "tests/test_executor.py::test_trace_rows_match_reference",
             "tests/test_executor.py::test_nine_gate_sample_trace",

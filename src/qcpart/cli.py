@@ -182,15 +182,6 @@ def _single_k(args) -> int:
     return _single_int(args.parts, "this command takes a single K; use bench for sweeps")
 
 
-def _check_threads(args) -> None:
-    """--threads is validated, but the DP runs on one thread."""
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if args.threads > 1:
-        print(f"note: --threads {args.threads} has no effect; the DP runs on one thread",
-              file=sys.stderr)
-
-
 def _collect_notes(circuit: Circuit, result: PartitionResult) -> list[str]:
     notes = []
     if circuit.decomposed_mct:
@@ -294,7 +285,7 @@ def _build_report(circuit, result, command, args, wall_ms) -> RunReport:
         "decompose_mct": args.decompose_mct,
         "approx_decomposition": circuit.decomposed_mct,
         "constrained": result.constrained,
-        "threads": 1,  # the DP runs on one thread whatever --threads says
+        "threads": 1,  # the DP runs on one thread
         "force": getattr(args, "force", False),
     }
     return RunReport(
@@ -313,7 +304,6 @@ def _build_report(circuit, result, command, args, wall_ms) -> RunReport:
 
 
 def cmd_partition(args) -> int:
-    _check_threads(args)
     circuit = _single_circuit(args, functools.partial(check_width, force=args.force))
     k = _single_k(args)
     full = args.format != "csv"  # a CSV row drops the trace and the table
@@ -378,7 +368,6 @@ def _span(run: range, what: str = "K ") -> str:
 
 
 def cmd_bench(args) -> int:
-    _check_threads(args)
     if not args.circuit and not args.gen:
         raise ValueError(NO_INPUT)
     ks = _int_ranges(args.parts)
@@ -449,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-part-size", type=int, help="cap on qubits per part")
     p.add_argument("--table", action="store_true", help="also emit the full memo table as CSV")
     p.add_argument("--trace", action="store_true", help="also emit the per-gate execution trace")
-    p.add_argument("--threads", type=int, default=1, help="must be >= 1; the DP runs on one thread")
+    p.add_argument("--threads", type=int, choices=[1], default=1, help="the DP runs on one thread")
     p.add_argument("--force", action="store_true",
                    help=f"lift the {DEFAULT_DP_CAP}-qubit guardrail (runtime grows as 3^n)")
     p.add_argument("--dot", metavar="PATH", help="write the bipartite graph in DOT format")
@@ -464,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV sweep over circuits and K values")
     _add_io_args(p, single=False)
     p.add_argument("--max-part-size", type=int, help="cap on qubits per part")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--force", action="store_true",
                    help=f"lift the {DEFAULT_DP_CAP}-qubit guardrail")
     p.set_defaults(func=cmd_bench)

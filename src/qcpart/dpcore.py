@@ -458,9 +458,10 @@ def solve(w: np.ndarray, kmax: int, cap: int, *, full_table: bool = False) -> tu
     ``levels`` is None for a partition solve, whose schedule is ``plan``'s.
     With ``full_table`` it holds levels 1..kmax, every entry exact, as
     ``(cost, peeled submask)`` int64 array pairs indexed by mask; level 1
-    costs 0 where the mask fits the cap, else INF."""
+    costs 0 where the mask fits the cap, else INF, and peels nothing: its
+    back-pointers are one read-only zero broadcast over every mask."""
     cost, peels, levels = _run(w, kmax, cap, full_table) if kmax >= 2 else (0, [], [])
     if not full_table:
         return cost, peels, None
     one = np.where(np.bitwise_count(np.arange(1 << w.shape[0])) <= cap, 0, INF)
-    return cost, peels, [(one, np.zeros_like(one)), *levels]
+    return cost, peels, [(one, np.broadcast_to(np.int64(0), one.shape)), *levels]

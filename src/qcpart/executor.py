@@ -25,7 +25,8 @@ class Trace:
     """A circuit's gates classified under one assignment, as columns: row i of
     ``parts`` (read-only int64, shape (G, 2)) holds the part of gate i's
     control, or of its target for a single-qubit gate, then the part of its
-    target. ``circuit`` is shared, not copied."""
+    target. ``circuit`` is shared, not copied. ``trace_to_records`` is its
+    one view as plain Python values."""
 
     circuit: Circuit
     parts: np.ndarray
@@ -60,15 +61,6 @@ class Trace:
             else:
                 keys.append((f"{label}(q{qt},p{a})", LOCAL, (a,)))
         return code, keys
-
-    def rows(self):
-        """One ``(gate, rendering, kind, parts, teleports_so_far)`` tuple of plain
-        Python values per gate, in execution order and JSON key order; ``gate``
-        is 1-based and ``parts`` holds the gate's distinct parts, ascending."""
-        code, keys = self._distinct()
-        teleports = np.cumsum(self.is_global).tolist()
-        for gate, (i, n) in enumerate(zip(code.tolist(), teleports), 1):
-            yield (gate, *keys[i], n)
 
 
 def trace_execution(circuit: Circuit, assignment: PartitionAssignment) -> Trace:
@@ -106,9 +98,15 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_to_records(trace: Trace) -> list[dict]:
-    """JSON-ready records, one per gate, in the key order of ``trace_to_json``."""
+    """The trace as the JSON report holds it: one record of plain Python
+    values per gate, in execution order and ``trace_to_json``'s key order.
+    ``gate`` is 1-based and ``parts`` lists the gate's parts, ascending."""
+    code, keys = trace._distinct()
+    teleports = np.cumsum(trace.is_global).tolist()
     return [{"gate": gate, "rendering": rendering, "kind": kind, "parts": list(parts),
-             "teleports_so_far": n} for gate, rendering, kind, parts, n in trace.rows()]
+             "teleports_so_far": n}
+            for gate, (i, n) in enumerate(zip(code.tolist(), teleports), 1)
+            for rendering, kind, parts in [keys[i]]]
 
 
 def trace_to_json(trace: Trace, pad: str = "") -> str:

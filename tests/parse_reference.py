@@ -72,9 +72,9 @@ def reference_parse(text: str, name: str = "circuit") -> Circuit:
                    [(-1, *qs) if len(qs) == 1 else qs for _, qs in specs], name)
 
 
-def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> list[tuple]:
-    """One ``Trace.rows()`` tuple per gate in execution order, with a running
-    teleport count.
+def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> list[dict]:
+    """One ``trace_to_records`` record per gate in execution order, with a
+    running teleport count.
 
     Single-qubit gates are always local; the total number of global entries
     equals the inter-part weight of the assignment.
@@ -89,20 +89,15 @@ def reference_trace(circuit: Circuit, assignment: PartitionAssignment) -> list[t
     for i, (label, (c, t)) in enumerate(zip(circuit.labels, circuit.ends.tolist())):
         label = label.upper()
         if c < 0:
-            entries.append((
-                i + 1, f"{label}(q{t + 1},p{part[t]})", LOCAL,
-                (part[t],), teleports,
-            ))
-            continue
-        pc, pt = part[c], part[t]
-        if pc == pt:
-            rendering = f"{label}(q{c + 1},q{t + 1},p{pc})"
-            kind = LOCAL
+            rendering, kind, parts = f"{label}(q{t + 1},p{part[t]})", LOCAL, [part[t]]
+        elif part[c] == part[t]:
+            rendering, kind, parts = f"{label}(q{c + 1},q{t + 1},p{part[c]})", LOCAL, [part[c]]
         else:
-            rendering = f"{label}(q{c + 1},p{pc},q{t + 1},p{pt})"
-            kind = GLOBAL
+            rendering = f"{label}(q{c + 1},p{part[c]},q{t + 1},p{part[t]})"
+            kind, parts = GLOBAL, sorted([part[c], part[t]])
             teleports += 1
-        entries.append((i + 1, rendering, kind, tuple(sorted({pc, pt})), teleports))
+        entries.append({"gate": i + 1, "rendering": rendering, "kind": kind, "parts": parts,
+                        "teleports_so_far": teleports})
     return entries
 
 

@@ -23,6 +23,7 @@ from qcpart import (
     parse_circuit,
     qc_to_bigraph,
     trace_execution,
+    trace_to_records,
     weight_matrix,
 )
 from qcpart.references import REPORTED_RATIOS, FOUR_QUBIT_SAMPLE_REPORTED_COST
@@ -100,7 +101,7 @@ def test_criterion_04_nine_gate_trace():
     trace = trace_execution(circ, assignment)
     kinds = ["G" if g else "L" for g in trace.is_global.tolist()]
     assert kinds == ["L", "G", "L", "L", "L", "L", "L", "L", "L"]
-    assert list(trace.rows())[1][1] == "CNOT(q3,p1,q1,p0)"
+    assert trace_to_records(trace)[1]["rendering"] == "CNOT(q3,p1,q1,p0)"
     cut = int(trace.is_global.sum())
     assert cut == 1
     _passed(4, "only the second gate is global")

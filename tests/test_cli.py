@@ -360,12 +360,9 @@ def test_main_reuses_parser_without_leaking_state(capsys, sample4):
 # --- exit codes -----------------------------------------------------------------
 
 def test_partition_threads_flag_output_identical(capsys, sample4):
-    _, out1, _ = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "3",
-                         "--format", "json", "--no-timing")
-    _, out2, _ = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "3",
-                         "--format", "json", "--no-timing", "--threads", "4")
-    assert json.loads(out1)["assignment"] == json.loads(out2)["assignment"]
-    assert json.loads(out1)["cost"] == json.loads(out2)["cost"]
+    for fmt in ("text", "json", "csv"):
+        argv = ["partition", "--circuit", sample4, "--parts", "3", "--format", fmt, "--no-timing"]
+        assert run_cli(capsys, *argv, "--threads", "1") == run_cli(capsys, *argv)
 
 
 def test_partition_rejects_two_inputs(capsys, sample4):
@@ -472,18 +469,22 @@ def test_memory_error_exits_size_cap(capsys, sample4, monkeypatch):
     assert "out of memory (Unable to allocate 6.71 GiB)" in err
 
 
-def test_threads_validated_and_reported(capsys, sample4):
-    for command in ("partition", "bench"):
-        for bad in ("0", "-5"):
-            code, out, err = run_cli(capsys, command, "--circuit", sample4, "--parts", "2",
-                                     "--threads", bad)
-            assert code == 2 and out == ""
-            assert "--threads must be >= 1" in err
+def test_threads_validated_and_reported(capsys, sample4, tmp_path):
+    # the DP runs on one thread: argparse refuses any other --threads, and
+    # bench has no such option, before the circuit is read
+    missing = str(tmp_path / "missing.qc")
+    for command, bad, message in (*(("partition", bad, f"invalid choice: {bad}")
+                                    for bad in ("0", "-5", "2", "4")),
+                                  ("bench", "1", "unrecognized arguments: --threads 1")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--circuit", missing, "--parts", "2", "--threads", bad])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert message in err
     code, out, err = run_cli(capsys, "partition", "--circuit", sample4, "--parts", "2",
-                             "--format", "json", "--threads", "4")
-    assert code == 0
+                             "--format", "json", "--threads", "1")
+    assert code == 0 and err == ""
     assert json.loads(out)["flags"]["threads"] == 1
-    assert err.count("has no effect") == 1
 
 
 # --- oracle ---------------------------------------------------------------------

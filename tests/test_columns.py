@@ -1,6 +1,6 @@
 """The columnar circuit against the per-line references in ``parse_reference``:
-the same columns and errors from ``parse_circuit``, the same rows from
-``Trace.rows()``, and one equality for every way to build a circuit."""
+the same columns and errors from ``parse_circuit``, the same records from
+``trace_to_records``, and one equality for every way to build a circuit."""
 
 import dataclasses
 import warnings
@@ -17,6 +17,7 @@ from qcpart import (
     parse_circuit,
     render_circuit,
     trace_execution,
+    trace_to_records,
 )
 from qcpart import circuit
 from qcpart.circuit import LINE_BREAKS, WHITESPACE, _code_points, _gate_line_error
@@ -132,6 +133,9 @@ def test_code_point_classes_match_str(text):
     # Circuit refuses the first bad gate, row or label: both name line 2
     "qubits 3\nqubits 1\ncnot 1 9\n", "qubits 3\ncnot 1 9\nqubits 1\n",
     "qubits 3\ncnot 0 3",  # a control of 0 must not pass for a single-qubit gate's -1
+    # line 3 after a comment ended by a lone CR, an LF or a CRLF: a comment
+    # pass that deleted the comment instead of blanking it would say line 2
+    "qubits 2\r#c\ncnot 1 1\n", "qubits 2\n#c\ncnot 1 1\n", "qubits 2\r\n#c\ncnot 1 1\n",
 ])
 def test_parse_edge_cases_match_reference(text):
     assert outcome(parse_circuit, text) == outcome(reference_parse, text)
@@ -169,9 +173,9 @@ def test_trace_matches_reference(n, n_gates, seed):
     c = parse_circuit(render_circuit(c).replace("cnot", "xé", n_gates // 3))
     labels = rng.integers(0, rng.integers(1, n + 1), size=n)
     a = PartitionAssignment.from_labels(labels)
-    rows = list(trace_execution(c, a).rows())
-    assert rows == reference_trace(c, a)
-    for gate, _, _, parts, teleports in rows:
+    records = trace_to_records(trace_execution(c, a))
+    assert records == reference_trace(c, a)
+    for gate, _, _, parts, teleports in (r.values() for r in records):
         assert all(type(p) is int for p in parts)
         assert type(gate) is int and type(teleports) is int
 

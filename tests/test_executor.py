@@ -27,9 +27,9 @@ from parse_reference import reference_trace
 def test_nine_gate_sample_trace(circ4h):
     assignment = PartitionAssignment.from_parts(4, [0b1011, 0b0100])  # {q1,q2,q4} | {q3}
     trace = trace_execution(circ4h, assignment)
-    rows = list(trace.rows())
-    assert len(rows) == 9
-    gates, renderings, kinds, parts, teleports = zip(*rows)
+    records = trace_to_records(trace)
+    assert len(records) == 9
+    gates, renderings, kinds, parts, teleports = zip(*(r.values() for r in records))
     assert gates == tuple(range(1, 10))
     assert kinds == (LOCAL, GLOBAL) + (LOCAL,) * 7
     assert trace.is_global.tolist() == [kind == GLOBAL for kind in kinds]
@@ -37,7 +37,7 @@ def test_nine_gate_sample_trace(circ4h):
     assert renderings[0] == "CNOT(q1,q2,p0)"
     assert renderings[3] == "H(q4,p0)"
     assert teleports == (0, 1, 1, 1, 1, 1, 1, 1, 1)
-    assert parts[1] == (0, 1)
+    assert parts[1] == [0, 1]
     assert trace.parts[1].tolist() == [1, 0]  # control's part, then target's
 
 
@@ -45,14 +45,14 @@ def test_four_qubit_sample_trace_k3(circ4, w4):
     r = dp_partition(w4, 3)
     trace = trace_execution(circ4, r.assignment)
     assert np.flatnonzero(trace.is_global).tolist() == [0, 1, 2, 5]
-    assert list(trace.rows())[-1][-1] == 4 == r.cost
+    assert trace_to_records(trace)[-1]["teleports_so_far"] == 4 == r.cost
 
 
 def test_single_part_trace_all_local(circ4):
     assignment = PartitionAssignment.from_parts(4, [0b1111])
-    rows = list(trace_execution(circ4, assignment).rows())
-    assert all(kind == LOCAL for _, _, kind, _, _ in rows)
-    assert rows[-1][-1] == 0
+    records = trace_to_records(trace_execution(circ4, assignment))
+    assert all(r["kind"] == LOCAL for r in records)
+    assert records[-1]["teleports_so_far"] == 0
 
 
 def test_trace_shares_circuit_and_yields_plain_values(circ4h):
@@ -61,10 +61,14 @@ def test_trace_shares_circuit_and_yields_plain_values(circ4h):
     assert trace.parts.dtype == np.int64 and not trace.parts.flags.writeable
     with pytest.raises(ValueError):
         trace.parts[0, 0] = 1
-    for gate, rendering, kind, parts, teleports in trace.rows():
+    records = trace_to_records(trace)
+    for gate, rendering, kind, parts, teleports in (r.values() for r in records):
         assert type(gate) is int and type(teleports) is int
         assert type(rendering) is str and type(kind) is str
-        assert type(parts) is tuple and all(type(p) is int for p in parts)
+        assert type(parts) is list and all(type(p) is int for p in parts)
+    # gates 1 and 8 render alike, but each record owns its parts list
+    assert records[0]["parts"] == records[7]["parts"]
+    assert records[0]["parts"] is not records[7]["parts"]
 
 
 def test_trace_width_mismatch(circ4):
@@ -83,7 +87,7 @@ def test_trace_counts_match_cut_weight():
         trace = trace_execution(c, r.assignment)
         assert trace.parts.shape == (c.size, 2)
         assert int(trace.is_global.sum()) == r.cost == assignment_cost(r.assignment, w)
-        counts = [n for *_, n in trace.rows()]
+        counts = [r["teleports_so_far"] for r in trace_to_records(trace)]
         assert counts == sorted(counts)
 
 
@@ -175,7 +179,7 @@ def test_trace_to_json_matches_json_dumps():
 
 def test_trace_rows_match_reference():
     for c, assignment in render_cases():
-        assert list(trace_execution(c, assignment).rows()) == reference_trace(c, assignment)
+        assert trace_to_records(trace_execution(c, assignment)) == reference_trace(c, assignment)
 
 
 def test_trace_renders_distinct_gates_once(circ4h):
@@ -189,8 +193,8 @@ def test_trace_renders_distinct_gates_once(circ4h):
 def _row_text(trace) -> str:
     """``trace_to_text`` as one padded row per gate, the reference renderer."""
     rows = [("# of Gate", "Gate_name", "Type")] + [
-        (f"g{gate}", rendering, "G" if kind == GLOBAL else "L")
-        for gate, rendering, kind, _, _ in trace.rows()]
+        (f"g{r['gate']}", r["rendering"], "G" if r["kind"] == GLOBAL else "L")
+        for r in trace_to_records(trace)]
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "".join("  ".join(map(str.ljust, r, widths)).rstrip() + "\n" for r in rows)
 

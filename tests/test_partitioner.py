@@ -298,6 +298,22 @@ def test_table_json_string_memory_at_16_qubits():
     assert peaks[0] <= peaks[1], peaks
 
 
+def test_table_holds_no_level_one_backpointers():
+    # level 1 peels nothing, so its back-pointers are one zero broadcast over
+    # every mask: a K=2 table holds three arrays of 2^n int64, not four
+    n = 14
+    w = wmat(build_random_circuit(np.random.default_rng(14), n, 2 * n))
+    dp_table(w, 2)  # the cached pair tables are not the table's
+    tracemalloc.start()
+    try:
+        t = dp_table(w, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3.5 * (1 << n) * 8, held
+    assert {t.choice_at(m, 1) for m in range(1, 1 << n)} == {None}
+
+
 def test_table_bounds_checking(w4):
     t = dp_table(w4, 2)
     with pytest.raises(ValueError):

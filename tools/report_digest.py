@@ -10,7 +10,8 @@ oracle job through qcpart.cli.main with --no-timing appended, and renders
 the dp_table job's table with DpTable.json_string(). It prints one sha256
 per workload, over its jobs' labels, exit codes and outputs, then one over
 every job. qcpart is imported from this checkout's src/, and nothing under
-perfbench/ is written.
+perfbench/ is written. ``runs()`` yields each job's report in turn, for
+other tools that run the same jobs (tools/src_stats.py --traffic).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,9 +44,9 @@ def output(job: workloads.Job) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def main() -> int:
-    every = hashlib.sha256()
-    count = 0
+def runs():
+    """``(workload, job, exit code, report)`` for every seed-0 job, in
+    order, each job's input written under one temporary working directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -52,18 +54,23 @@ def main() -> int:
             for name in workloads.WORKLOADS:
                 workdir = Path(name)
                 workdir.mkdir()
-                digest = hashlib.sha256()
-                jobs = workloads.build(name, workloads.DEFAULT_SEED, workdir)
-                for job in jobs:
-                    code, text = output(job)
-                    record = f"{job.label}\0{code}\0{text}\0".encode()
-                    digest.update(record)
-                    every.update(record)
-                count += len(jobs)
-                print(f"{name:6} {len(jobs):4} jobs  {digest.hexdigest()}")
+                for job in workloads.build(name, workloads.DEFAULT_SEED, workdir):
+                    yield (name, job, *output(job))
         finally:
             os.chdir(home)
-    print(f"all    {count:4} jobs  {every.hexdigest()}")
+
+
+def main() -> int:
+    every = hashlib.sha256()
+    digests, counts = {}, Counter()
+    for name, job, code, text in runs():
+        record = f"{job.label}\0{code}\0{text}\0".encode()
+        digests.setdefault(name, hashlib.sha256()).update(record)
+        every.update(record)
+        counts[name] += 1
+    for name, digest in digests.items():
+        print(f"{name:6} {counts[name]:4} jobs  {digest.hexdigest()}")
+    print(f"all    {counts.total():4} jobs  {every.hexdigest()}")
     return 0
 
 
